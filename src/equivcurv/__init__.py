@@ -17,9 +17,11 @@ from .equivalence import (
     is_regular_partition,
     is_strong_regular_partition,
     is_strong_structural,
+    is_strong_structural_partition,
     is_structural_partition,
     is_weak_regular_partition,
     is_weak_structural,
+    is_weak_structural_partition,
     structural_classes,
 )
 from .errors import (

@@ -16,15 +16,16 @@ from fractions import Fraction
 import click
 
 from . import fixtures as fixture_corpus
-from .core import Partition, parse_graph, parse_hypergraph
+from .core import Graph, Partition, parse_graph, parse_hypergraph
 from .equivalence import (
-    EquivalenceWitness,
     is_regular_partition,
     is_strong_regular_partition,
     is_strong_structural,
+    is_strong_structural_partition,
     is_structural_partition,
     is_weak_regular_partition,
     is_weak_structural,
+    is_weak_structural_partition,
 )
 from .errors import (
     ParseError,
@@ -50,7 +51,7 @@ from .partitions import (
     weak_regular_from_h2,
     weak_regular_from_hn,
 )
-from .similarity import SimilarityWalk, bounds_hold, cosine_similarity, similarity_report
+from .similarity import CosineData, SimilarityWalk, bounds_hold, similarity_report
 from .transport import ee_orc, en_orc, fraction_str, orc
 
 EXIT_INPUT = 2
@@ -63,7 +64,12 @@ _SIM_WALKS = {"graph": SimilarityWalk.GRAPH, "en": SimilarityWalk.EN, "ee": Simi
 
 def _path_cap():
     value = os.environ.get("EQUIVCURV_PATH_CAP")
-    return int(value) if value else DEFAULT_PATH_CAP
+    try:
+        return int(value) if value else DEFAULT_PATH_CAP
+    except ValueError:
+        raise ParseError(
+            f"EQUIVCURV_PATH_CAP must be an integer, got {value!r}"
+        ) from None
 
 
 def _exit_codes(func):
@@ -95,8 +101,11 @@ def _load_hypergraph(path):
 
 
 def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
 
 
 def _emit_json(data):
@@ -140,11 +149,8 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
 
 def _component_pairs(structure):
     """Upper-triangular pairs within each connected component, sorted."""
-    if hasattr(structure, "connected_components"):
-        components = structure.connected_components().blocks
-    else:
-        components = structure.associated_graph().connected_components().blocks
-    for block in components:
+    graph = structure if isinstance(structure, Graph) else structure.associated_graph()
+    for block in graph.connected_components().blocks:
         ordered = sorted(block, key=structure.index.__getitem__)
         for i, x in enumerate(ordered):
             for y in ordered[i + 1 :]:
@@ -251,27 +257,20 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
     _emit_json(report.to_json())
 
 
-def _pairwise_partition_check(h, partition, predicate):
-    for block in partition.blocks:
-        ordered = sorted(block, key=h.index.__getitem__)
-        for i, x in enumerate(ordered):
-            for y in ordered[i + 1 :]:
-                if not predicate(h, x, y):
-                    return EquivalenceWitness(False, {"pair": [x, y]})
-    return EquivalenceWitness(True)
+_VERIFIERS = {
+    "structural": is_structural_partition,
+    "regular": is_regular_partition,
+    "weak-structural": is_weak_structural_partition,
+    "strong-structural": is_strong_structural_partition,
+    "weak-regular": is_weak_regular_partition,
+    "strong-regular": is_strong_regular_partition,
+}
 
 
 @main.command("verify")
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("partition_file", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--notion",
-    required=True,
-    type=click.Choice(
-        ["structural", "regular", "weak-structural", "strong-structural",
-         "weak-regular", "strong-regular"]
-    ),
-)
+@click.option("--notion", required=True, type=click.Choice(list(_VERIFIERS)))
 @_exit_codes
 def cmd_verify(input_file, partition_file, notion):
     """Verify a partition (JSON {"blocks": [...]}) against an equivalence notion."""
@@ -280,34 +279,22 @@ def cmd_verify(input_file, partition_file, notion):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid partition JSON: {exc}") from exc
     if notion in ("structural", "regular"):
-        g = _load_graph(input_file)
-        if not partition.covers(g.vertices):
-            raise ParseError("partition does not cover the graph's vertex set")
-        check = is_structural_partition if notion == "structural" else is_regular_partition
-        witness = check(g, partition)
+        structure, kind = _load_graph(input_file), "graph"
     else:
-        h = _load_hypergraph(input_file)
-        if not partition.covers(h.vertices):
-            raise ParseError("partition does not cover the hypergraph's vertex set")
-        if notion == "weak-regular":
-            witness = is_weak_regular_partition(h, partition)
-        elif notion == "strong-regular":
-            witness = is_strong_regular_partition(h, partition)
-        elif notion == "weak-structural":
-            witness = _pairwise_partition_check(h, partition, is_weak_structural)
-        else:
-            witness = _pairwise_partition_check(h, partition, is_strong_structural)
-    _emit_json(witness.to_json())
+        structure, kind = _load_hypergraph(input_file), "hypergraph"
+    if not partition.covers(structure.vertices):
+        raise ParseError(f"partition does not cover the {kind}'s vertex set")
+    _emit_json(_VERIFIERS[notion](structure, partition).to_json())
 
 
-def _sim_row(report):
+def _sim_row(report, sigma):
     row = {
         "x": report.x,
         "y": report.y,
         "eta": report.eta,
         "d_x": report.d_x,
         "d_y": report.d_y,
-        "sigma": f"{report.cosine:.12f}",
+        "sigma": f"{sigma.value:.12f}",
         "distance": report.distance,
         "kappa": None if report.kappa is None else fraction_str(report.kappa),
         "fully_dissimilar": report.fully_dissimilar,
@@ -341,9 +328,9 @@ def cmd_similarity(input_file, pairs, all_pairs, hyper, walk, check_bounds):
     violations = 0
     for x, y in wanted:
         report = similarity_report(structure, x, y, _SIM_WALKS[walk])
-        rows.append(_sim_row(report))
+        sigma = CosineData(report.eta, report.d_x, report.d_y)
+        rows.append(_sim_row(report, sigma))
         if check_bounds and report.kappa is not None and not hyper:
-            sigma = cosine_similarity(structure, x, y)
             if not bounds_hold(sigma, report.distance, report.kappa):
                 violations += 1
     _emit_json({"pairs": rows})
@@ -354,16 +341,14 @@ def cmd_similarity(input_file, pairs, all_pairs, hyper, walk, check_bounds):
 
 def _fixture_checks():
     """Checks over the bundled corpus; yields (name, bool)."""
-    from .neighborhood import WalkMode as WM
-
     c6 = fixture_corpus.graph("c6")
     counts = [
-        len(neighborhood_graph(c6, n, WM.PATH).graph.connected_components().blocks)
+        len(neighborhood_graph(c6, n).graph.connected_components().blocks)
         for n in range(1, 7)
     ]
     yield "c6 component counts 1,2,3,2,1,6", counts == [1, 2, 3, 2, 1, 6]
     edge_sets = [
-        set(map(frozenset, neighborhood_graph(c6, n, WM.PATH).graph.edge_ids()))
+        set(map(frozenset, neighborhood_graph(c6, n).graph.edge_ids()))
         for n in range(1, 7)
     ]
     yield "c6 G2 = G4 and G1 = G5", (

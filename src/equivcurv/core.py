@@ -7,7 +7,6 @@ depend on hash order. Structures are immutable after construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError, ResourceCapError, UnknownVertexError
@@ -41,9 +40,15 @@ class Partition:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or "blocks" not in data:
-            raise ParseError("partition JSON must be an object with a 'blocks' key")
-        return cls(data["blocks"])
+        blocks = data.get("blocks") if isinstance(data, dict) else None
+        if not isinstance(blocks, list) or not all(
+            isinstance(b, list) and all(isinstance(v, str) for v in b) for b in blocks
+        ):
+            raise ParseError(
+                "partition JSON must be an object whose 'blocks' is a list of "
+                "lists of vertex-id strings"
+            )
+        return cls(blocks)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -60,6 +65,28 @@ class Bipartition:
     parts: tuple | None  # (part0, part1) as tuples of vertex ids, or None
 
 
+def _bfs(adj, s, t=None):
+    """Dense-index BFS: dict index -> hop count from s, reachable vertices only.
+
+    Expands level by level and stops as soon as t, if given, is reached.
+    """
+    dist = {s: 0}
+    frontier = [] if s == t else [s]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = d
+                    if y == t:
+                        return dist
+                    reached.append(y)
+        frontier = reached
+    return dist
+
+
 def _strip_comments(text):
     """Yield (lineno, tokens) for non-comment, non-blank lines."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,7 +96,27 @@ def _strip_comments(text):
         yield lineno, line.split()
 
 
-class Graph:
+class _Indexed:
+    """Vertex ids in first-seen order, each with its dense index."""
+
+    def __init__(self, vertices):
+        self.vertices = list(dict.fromkeys(vertices))
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+
+    def _idx(self, v):
+        try:
+            return self.index[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+
+    def __contains__(self, v):
+        return v in self.index
+
+    def n_vertices(self):
+        return len(self.vertices)
+
+
+class Graph(_Indexed):
     """Loop-permitting simple undirected graph.
 
     Edges are unordered pairs; an edge of cardinality one is a loop and makes
@@ -77,8 +124,7 @@ class Graph:
     """
 
     def __init__(self, vertices, edges):
-        self.vertices = list(dict.fromkeys(vertices))
-        self.index = {v: i for i, v in enumerate(self.vertices)}
+        super().__init__(vertices)
         edge_idx = set()
         for e in edges:
             e = tuple(e)
@@ -98,20 +144,6 @@ class Graph:
                 adj[i].append(j)
                 adj[j].append(i)
         self._adj = [sorted(a) for a in adj]
-
-    # -- identity helpers ---------------------------------------------------
-
-    def _idx(self, v):
-        try:
-            return self.index[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
-
-    def __contains__(self, v):
-        return v in self.index
-
-    def n_vertices(self):
-        return len(self.vertices)
 
     # -- edges --------------------------------------------------------------
 
@@ -169,51 +201,22 @@ class Graph:
     def distance(self, u, v):
         """BFS shortest-path distance; None when unreachable."""
         s, t = self._idx(u), self._idx(v)
-        if s == t:
-            return 0
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if y == t:
-                        return dist[y]
-                    queue.append(y)
-        return None
+        return _bfs(self._adj, s, t).get(t)
 
     def distances_from(self, u):
         """Dict vertex id -> BFS distance, reachable vertices only."""
-        s = self._idx(u)
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
+        dist = _bfs(self._adj, self._idx(u))
         return {self.vertices[i]: d for i, d in dist.items()}
 
     def connected_components(self):
         """Partition into maximal connected sets, ordered by smallest index."""
-        seen = [False] * len(self.vertices)
+        seen = set()
         blocks = []
         for start in range(len(self.vertices)):
-            if seen[start]:
-                continue
-            comp = []
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in self._adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        queue.append(y)
-            blocks.append(tuple(self.vertices[i] for i in sorted(comp)))
+            if start not in seen:
+                comp = _bfs(self._adj, start)
+                seen.update(comp)
+                blocks.append(tuple(self.vertices[i] for i in sorted(comp)))
         return Partition(blocks)
 
     def is_connected(self):
@@ -225,24 +228,16 @@ class Graph:
             raise PreconditionError(
                 "bipartition requires a connected graph; apply per component"
             )
-        n = len(self.vertices)
-        color = [None] * n
-        if n:
-            color[0] = 0
-            queue = deque([0])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if y == x:  # loop: odd cycle of length 1
-                        return Bipartition(False, None)
-                    if color[y] is None:
-                        color[y] = 1 - color[x]
-                        queue.append(y)
-                    elif color[y] == color[x]:
-                        return Bipartition(False, None)
-        part0 = tuple(self.vertices[i] for i in range(n) if color[i] == 0)
-        part1 = tuple(self.vertices[i] for i in range(n) if color[i] == 1)
-        return Bipartition(True, (part0, part1))
+        # Connected, so bipartite iff no edge (a loop included) joins two
+        # vertices of equal BFS-depth parity.
+        depth = _bfs(self._adj, 0) if self.vertices else {}
+        if any(depth[i] % 2 == depth[j] % 2 for i, j in self._edges):
+            return Bipartition(False, None)
+        parts = tuple(
+            tuple(v for i, v in enumerate(self.vertices) if depth[i] % 2 == side)
+            for side in (0, 1)
+        )
+        return Bipartition(True, parts)
 
     # -- small cycles --------------------------------------------------------
 
@@ -299,12 +294,11 @@ class Graph:
         return sorted(cycles, key=lambda c: tuple(self.index[v] for v in c))
 
 
-class Hypergraph:
+class Hypergraph(_Indexed):
     """Vertex set plus a multiset of hyperedges (duplicates kept)."""
 
     def __init__(self, vertices, hyperedges):
-        self.vertices = list(dict.fromkeys(vertices))
-        self.index = {v: i for i, v in enumerate(self.vertices)}
+        super().__init__(vertices)
         self.hyperedges = []
         for e in hyperedges:
             e = tuple(e)
@@ -318,18 +312,7 @@ class Hypergraph:
         for ei, e in enumerate(self.hyperedges):
             for v in e:
                 self._incidence[self.index[v]].append(ei)
-
-    def _idx(self, v):
-        try:
-            return self.index[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
-
-    def __contains__(self, v):
-        return v in self.index
-
-    def n_vertices(self):
-        return len(self.vertices)
+        self._graph = None
 
     def has_loops(self):
         return any(len(e) == 1 for e in self.hyperedges)
@@ -343,89 +326,55 @@ class Hypergraph:
 
     def neighbors(self, v):
         """All vertices sharing a hyperedge with v, excluding v itself."""
-        i = self._idx(v)
-        out = set()
-        for ei in self._incidence[i]:
-            out.update(self.hyperedges[ei])
-        out.discard(v)
-        return out
+        return self.associated_graph().neighbors(v) - {v}
 
     def distance(self, u, v):
-        """BFS on the associated graph: one hyperedge hop = distance 1."""
+        """Hyperedge-hop distance, by BFS on the associated graph."""
         s, t = self._idx(u), self._idx(v)
-        if s == t:
-            return 0
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y in self.neighbors(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if y == v:
-                        return dist[y]
-                    queue.append(y)
-        return None
+        return _bfs(self.associated_graph().adjacency(), s, t).get(t)
 
     def distances_from(self, u):
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y in self.neighbors(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+        """Dict vertex id -> hyperedge-hop distance, reachable vertices only."""
+        dist = _bfs(self.associated_graph().adjacency(), self._idx(u))
+        return {self.vertices[i]: d for i, d in dist.items()}
 
     def associated_graph(self):
         """The graph with an edge wherever two vertices share a hyperedge.
 
-        Singleton hyperedges become loops.
+        Singleton hyperedges become loops; BFS distances ignore them. Built on
+        first use and kept, so parsing does not pay for it.
         """
-        edges = []
-        for e in self.hyperedges:
-            if len(e) == 1:
-                edges.append((e[0],))
-            else:
-                edges.extend((a, b) for idx, a in enumerate(e) for b in e[idx + 1 :])
-        return Graph(self.vertices, edges)
+        if self._graph is None:
+            edges = []
+            for e in self.hyperedges:
+                if len(e) == 1:
+                    edges.append((e[0],))
+                else:
+                    edges.extend((a, b) for i, a in enumerate(e) for b in e[i + 1 :])
+            self._graph = Graph(self.vertices, edges)
+        return self._graph
 
     def is_connected(self):
-        if len(self.vertices) <= 1:
-            return True
-        return len(self.associated_graph().connected_components().blocks) == 1
+        return self.associated_graph().is_connected()
 
 
 def parse_graph(text):
     """Parse edge-list text: one edge per line, 1 token = loop, '#' comments."""
-    vertices = []
-    seen = set()
     edges = []
     for lineno, tokens in _strip_comments(text):
         if len(tokens) > 2:
             raise ParseError(
                 f"expected 1 or 2 tokens, got {len(tokens)}", line=lineno
             )
-        for tok in tokens:
-            if tok not in seen:
-                seen.add(tok)
-                vertices.append(tok)
         edges.append(tuple(tokens))
-    return Graph(vertices, edges)
+    return Graph([v for e in edges for v in e], edges)
 
 
 def parse_hypergraph(text):
     """Parse hyperedge-list text: one hyperedge per line, '#' comments."""
-    vertices = []
-    seen = set()
     hyperedges = []
     for lineno, tokens in _strip_comments(text):
         if len(set(tokens)) != len(tokens):
             raise ParseError("duplicate vertex within hyperedge", line=lineno)
-        for tok in tokens:
-            if tok not in seen:
-                seen.add(tok)
-                vertices.append(tok)
         hyperedges.append(tuple(tokens))
-    return Hypergraph(vertices, hyperedges)
+    return Hypergraph([v for e in hyperedges for v in e], hyperedges)

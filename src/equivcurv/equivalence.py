@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import Graph, Hypergraph, Partition
 from .errors import PreconditionError
-from .transport import ee_weights
+from .transport import ee_measure, ee_weights
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,58 @@ class HierarchyLevel(enum.Enum):
     STRONG = "strong"
 
 
-def _check_partition(structure, p: Partition):
+def _signature_check(structure, p: Partition, signature, violation):
+    """Verify that same-block vertices have equal signatures.
+
+    Each vertex, in dense-index order within each block, is compared with its
+    block's first vertex f. The first v that differs gives the witness
+    violation(structure, p, f, v, signature(f), signature(v)). Signature
+    equality is an equivalence, so (f, v) is also the first pair an all-pairs
+    scan in the same order would reject, found with O(sum |B|) signatures.
+    """
     if not p.covers(structure.vertices):
         raise PreconditionError("partition does not cover the vertex set exactly")
-
-
-def _same_block_pairs(structure, p: Partition):
-    """Same-block vertex pairs, ordered by dense index within ordered blocks."""
     for block in p.blocks:
-        ordered = sorted(block, key=structure.index.__getitem__)
-        for a_pos, a in enumerate(ordered):
-            for b in ordered[a_pos + 1 :]:
-                yield a, b
+        first, *rest = sorted(block, key=structure.index.__getitem__)
+        sig = signature(first)
+        for v in rest:
+            other = signature(v)
+            if other != sig:
+                return EquivalenceWitness(
+                    False, violation(structure, p, first, v, sig, other)
+                )
+    return EquivalenceWitness(True)
+
+
+def _pair_violation(structure, p, a, b, sig_a, sig_b):
+    return {"pair": [a, b]}
+
+
+def _neighbor_violation(g, p, a, b, na, nb):
+    """The first vertex adjacent to exactly one of a and b, with its block."""
+    c = min(na ^ nb, key=g.index.__getitem__)
+    return {"pair": [a, b], "neighbor": c, "block": p.block_of[c]}
+
+
+def _block_violation(structure, p, a, b, sig_a, sig_b):
+    """For signatures of (neighbour block, ...) tuples.
+
+    `having` holds the smallest tuple the other vertex lacks, beta is that
+    tuple's block and `neighbor` is having's first neighbour in beta.
+    """
+    if sig_b - sig_a:
+        lacking, having, beta = a, b, min(sig_b - sig_a)[0]
+    else:
+        lacking, having, beta = b, a, min(sig_a - sig_b)[0]
+    c = min(
+        (w for w in structure.neighbors(having) if p.block_of[w] == beta),
+        key=structure.index.__getitem__,
+    )
+    return {"pair": [lacking, having], "neighbor": c, "block": beta}
+
+
+def _neighbor_blocks(structure, p, v):
+    return {(p.block_of[w],) for w in structure.neighbors(v)}
 
 
 def is_structural_partition(g: Graph, p: Partition) -> EquivalenceWitness:
@@ -60,20 +100,7 @@ def is_structural_partition(g: Graph, p: Partition) -> EquivalenceWitness:
 
     A loop at v puts v in its own neighbour set and is compared verbatim.
     """
-    _check_partition(g, p)
-    for a, b in _same_block_pairs(g, p):
-        na, nb = g.neighbors(a), g.neighbors(b)
-        if na != nb:
-            c = min(na ^ nb, key=g.index.__getitem__)
-            return EquivalenceWitness(
-                False,
-                {"pair": [a, b], "neighbor": c, "block": p.block_of[c]},
-            )
-    return EquivalenceWitness(True)
-
-
-def _neighbor_blocks(g, p, v):
-    return {p.block_of[w] for w in g.neighbors(v)}
+    return _signature_check(g, p, g.neighbors, _neighbor_violation)
 
 
 def is_regular_partition(g: Graph, p: Partition) -> EquivalenceWitness:
@@ -82,26 +109,9 @@ def is_regular_partition(g: Graph, p: Partition) -> EquivalenceWitness:
     Checked symmetrically in each pair: both directions of the existential
     condition are required.
     """
-    _check_partition(g, p)
-    for a, b in _same_block_pairs(g, p):
-        blocks_a = _neighbor_blocks(g, p, a)
-        blocks_b = _neighbor_blocks(g, p, b)
-        if blocks_a != blocks_b:
-            if blocks_b - blocks_a:
-                lacking, having = a, b
-                beta = min(blocks_b - blocks_a)
-            else:
-                lacking, having = b, a
-                beta = min(blocks_a - blocks_b)
-            c = min(
-                (w for w in g.neighbors(having) if p.block_of[w] == beta),
-                key=g.index.__getitem__,
-            )
-            return EquivalenceWitness(
-                False,
-                {"pair": [lacking, having], "neighbor": c, "block": beta},
-            )
-    return EquivalenceWitness(True)
+    return _signature_check(
+        g, p, lambda v: _neighbor_blocks(g, p, v), _block_violation
+    )
 
 
 def structural_classes(g: Graph) -> Partition:
@@ -136,6 +146,16 @@ def _cardinalities_to(h, x, z):
     )
 
 
+def _neighbor_cardinalities(h, v):
+    """Set of (neighbour, |e|) over the hyperedges e through v."""
+    return {
+        (w, len(h.hyperedges[ei]))
+        for ei in h.incident_hyperedges(v)
+        for w in h.hyperedges[ei]
+        if w != v
+    }
+
+
 def is_strong_structural(h: Hypergraph, x, y) -> bool:
     """Strong structural equivalence, existential cardinality matching.
 
@@ -144,77 +164,35 @@ def is_strong_structural(h: Hypergraph, x, y) -> bool:
     symmetrically. (The hierarchy level STRONG is the stricter bijective
     star-matching notion; see `hierarchy_level`.)
     """
-    if not is_weak_structural(h, x, y):
-        return False
-    for a in h.neighbors(x):
-        cards_x = set(_cardinalities_to(h, x, a))
-        cards_y = set(_cardinalities_to(h, y, a))
-        if cards_x != cards_y:
-            return False
-    return True
+    return _neighbor_cardinalities(h, x) == _neighbor_cardinalities(h, y)
 
 
-def _weak_neighbor_blocks(h, p, v):
-    return {p.block_of[w] for w in h.neighbors(v)}
+def is_weak_structural_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
+    """Every block weak structurally equivalent; the witness names the pair."""
+    return _signature_check(h, p, h.neighbors, _pair_violation)
+
+
+def is_strong_structural_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
+    """Every block strong structurally equivalent; the witness names the pair."""
+    return _signature_check(
+        h, p, lambda v: _neighbor_cardinalities(h, v), _pair_violation
+    )
 
 
 def is_weak_regular_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
     """Weak regular equivalence: neighbour blocks match, cardinalities ignored."""
-    _check_partition(h, p)
-    for u, v in _same_block_pairs(h, p):
-        blocks_u = _weak_neighbor_blocks(h, p, u)
-        blocks_v = _weak_neighbor_blocks(h, p, v)
-        if blocks_u != blocks_v:
-            if blocks_v - blocks_u:
-                lacking, having = u, v
-                beta = min(blocks_v - blocks_u)
-            else:
-                lacking, having = v, u
-                beta = min(blocks_u - blocks_v)
-            c = min(
-                (w for w in h.neighbors(having) if p.block_of[w] == beta),
-                key=h.index.__getitem__,
-            )
-            return EquivalenceWitness(
-                False,
-                {"pair": [lacking, having], "neighbor": c, "block": beta},
-            )
-    return EquivalenceWitness(True)
-
-
-def _block_cardinality_pairs(h, p, v):
-    """Set of (neighbour block, |e|) reachable from v through some hyperedge."""
-    out = set()
-    for ei in h.incident_hyperedges(v):
-        e = h.hyperedges[ei]
-        for w in e:
-            if w != v:
-                out.add((p.block_of[w], len(e)))
-    return out
+    return _signature_check(
+        h, p, lambda v: _neighbor_blocks(h, p, v), _block_violation
+    )
 
 
 def is_strong_regular_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
     """Strong regular equivalence: witnessing hyperedges must match in |e|."""
-    _check_partition(h, p)
-    for u, v in _same_block_pairs(h, p):
-        pairs_u = _block_cardinality_pairs(h, p, u)
-        pairs_v = _block_cardinality_pairs(h, p, v)
-        if pairs_u != pairs_v:
-            if pairs_v - pairs_u:
-                lacking, having = u, v
-                beta, _card = min(pairs_v - pairs_u)
-            else:
-                lacking, having = v, u
-                beta, _card = min(pairs_u - pairs_v)
-            c = min(
-                (w for w in h.neighbors(having) if p.block_of[w] == beta),
-                key=h.index.__getitem__,
-            )
-            return EquivalenceWitness(
-                False,
-                {"pair": [lacking, having], "neighbor": c, "block": beta},
-            )
-    return EquivalenceWitness(True)
+
+    def signature(v):
+        return {(p.block_of[w], card) for w, card in _neighbor_cardinalities(h, v)}
+
+    return _signature_check(h, p, signature, _block_violation)
 
 
 # -- equivalence hierarchy ---------------------------------------------------
@@ -243,13 +221,10 @@ def hierarchy_level(h: Hypergraph, x, y) -> set:
         raise PreconditionError("hierarchy levels require a loop-free hypergraph")
     levels = set()
 
-    wx, wy = ee_weights(h, x), ee_weights(h, y)
-    dx, dy = h.degree(x), h.degree(y)
-    mu_x = {z: w / dx for z, w in wx.items()} if dx else {}
-    mu_y = {z: w / dy for z, w in wy.items()} if dy else {}
+    mu_x, mu_y = (ee_measure(h, v).masses if h.degree(v) else {} for v in (x, y))
     if mu_x == mu_y:
         levels.add(HierarchyLevel.EE_MEASURE)
-    if wx == wy:
+    if ee_weights(h, x) == ee_weights(h, y):
         levels.add(HierarchyLevel.WEIGHTED_NEIGHBOURHOOD)
 
     nx_, ny_ = h.neighbors(x), h.neighbors(y)
@@ -286,6 +261,8 @@ __all__ = [
     "structural_classes",
     "is_weak_structural",
     "is_strong_structural",
+    "is_weak_structural_partition",
+    "is_strong_structural_partition",
     "is_weak_regular_partition",
     "is_strong_regular_partition",
     "hierarchy_level",

@@ -68,27 +68,16 @@ class ConstructionReport:
         return out
 
 
-def _graph_report(g, partition, method, preconditions, notes=None):
-    witness = is_regular_partition(g, partition)
+def _report(verify, structure, partition, method, preconditions, notes=()):
+    """Construction report whose verdict and witness come from `verify`."""
+    witness = verify(structure, partition)
     return ConstructionReport(
         partition=partition,
         method=method,
         preconditions=preconditions,
         verified=witness.verdict,
         witness=witness.violation,
-        notes=list(notes or []),
-    )
-
-
-def _hyper_report(h, partition, method, preconditions, notes=None):
-    witness = is_weak_regular_partition(h, partition)
-    return ConstructionReport(
-        partition=partition,
-        method=method,
-        preconditions=preconditions,
-        verified=witness.verdict,
-        witness=witness.violation,
-        notes=list(notes or []),
+        notes=list(notes),
     )
 
 
@@ -105,7 +94,10 @@ def regular_from_g2(g: Graph, **nbh_kwargs) -> ConstructionReport:
         notes.append(
             "two components: maximal regular partition below the trivial one"
         )
-    return _graph_report(g, partition, "g2-components", [("connected", True)], notes)
+    preconditions = [("connected", True)]
+    return _report(
+        is_regular_partition, g, partition, "g2-components", preconditions, notes
+    )
 
 
 def regular_from_gn(g: Graph, n: int, **nbh_kwargs) -> ConstructionReport:
@@ -115,7 +107,7 @@ def regular_from_gn(g: Graph, n: int, **nbh_kwargs) -> ConstructionReport:
     gn = neighborhood_graph(g, n, WalkMode.PATH, **nbh_kwargs).graph
     partition = gn.connected_components()
     preconditions = [("min-degree-2", g.min_degree() >= 2)]
-    return _graph_report(g, partition, "gn-components", preconditions)
+    return _report(is_regular_partition, g, partition, "gn-components", preconditions)
 
 
 def structural_from_curvature(g: Graph, **nbh_kwargs) -> ConstructionReport:
@@ -136,8 +128,9 @@ def structural_from_curvature(g: Graph, **nbh_kwargs) -> ConstructionReport:
                 raise PreconditionError(
                     f"structural class {block!r} is not complete in G_2"
                 )
-    return _graph_report(
-        g, partition, "curvature-structural", [("connected", True)]
+    preconditions = [("connected", True)]
+    return _report(
+        is_regular_partition, g, partition, "curvature-structural", preconditions
     )
 
 
@@ -173,8 +166,9 @@ def regular_from_curvature_subcliques(
     blocks.extend((v,) for v in g.vertices if v not in taken)
     blocks.sort(key=lambda b: g.index[b[0]])
     partition = Partition(blocks)
-    return _graph_report(
-        g, partition, "curvature-subcliques", [("curvature-1-subcliques", True)]
+    preconditions = [("curvature-1-subcliques", True)]
+    return _report(
+        is_regular_partition, g, partition, "curvature-subcliques", preconditions
     )
 
 
@@ -204,7 +198,8 @@ def regular_from_triangle_removal(
     pruned = g.without_edges(removal.pairs())
     g2 = neighborhood_graph(pruned, 2, WalkMode.PATH, **nbh_kwargs).graph
     partition = g2.connected_components()
-    return _graph_report(
+    return _report(
+        is_regular_partition,
         g,
         partition,
         "triangle-removal",
@@ -234,7 +229,8 @@ def regular_from_kcycle_removal(
         raise PreconditionError("removal creates a vertex of degree < 2")
     gk = neighborhood_graph(pruned, k - 1, WalkMode.PATH, **nbh_kwargs).graph
     partition = gk.connected_components()
-    return _graph_report(
+    return _report(
+        is_regular_partition,
         g,
         partition,
         "kcycle-removal",
@@ -260,7 +256,10 @@ def weak_regular_from_h2(h: Hypergraph, **nbh_kwargs) -> ConstructionReport:
         notes.append(
             "two components: maximal weak regular partition below the trivial one"
         )
-    return _hyper_report(h, partition, "h2-components", [("connected", True)], notes)
+    preconditions = [("connected", True)]
+    return _report(
+        is_weak_regular_partition, h, partition, "h2-components", preconditions, notes
+    )
 
 
 def weak_regular_from_hn(h: Hypergraph, n: int, **nbh_kwargs) -> ConstructionReport:
@@ -272,7 +271,9 @@ def weak_regular_from_hn(h: Hypergraph, n: int, **nbh_kwargs) -> ConstructionRep
     preconditions = [
         ("min-2-neighbours", all(len(h.neighbors(v)) >= 2 for v in h.vertices))
     ]
-    return _hyper_report(h, partition, "hn-components", preconditions)
+    return _report(
+        is_weak_regular_partition, h, partition, "hn-components", preconditions
+    )
 
 
 def enumerate_removal_sets(g: Graph, max_size: int = 3, max_vertices: int = 9):

@@ -115,10 +115,6 @@ class SimilarityReport:
     fully_dissimilar: bool
     curvature: CurvatureResult | None = None
 
-    @property
-    def cosine(self) -> float:
-        return self.eta / math.sqrt(self.d_x * self.d_y)
-
 
 def similarity_report(
     g_or_h, x, y, walk: SimilarityWalk = SimilarityWalk.GRAPH

@@ -103,14 +103,11 @@ def neighbor_measure(g: Graph, x) -> Measure:
 
 
 def en_measure(h: Hypergraph, x) -> Measure:
-    """Equal-nodes walk: uniform mass on the hypergraph neighbours of x."""
-    if h.has_loops():
-        raise PreconditionError("EN measures require a loop-free hypergraph")
-    nbrs = h.neighbors(x)
-    if not nbrs:
-        raise PreconditionError(f"vertex {x!r} has no neighbours")
-    share = Fraction(1, len(nbrs))
-    return Measure({z: share for z in nbrs})
+    """Equal-nodes walk: the neighbour measure of the associated graph.
+
+    Singleton hyperedges are loops there, so they are refused the same way.
+    """
+    return neighbor_measure(h.associated_graph(), x)
 
 
 def ee_weights(h: Hypergraph, x):
@@ -257,7 +254,7 @@ def _curvature(mu, nu, structure, x, y) -> CurvatureResult:
         raise PreconditionError(
             f"{x!r} and {y!r} lie in different connected components"
         )
-    dists = {x: structure.distances_from(x)}
+    dists = {}  # BFS rows on demand; the measures are loop-free, so never x's
 
     def dist(u, v):
         if u not in dists:

@@ -110,3 +110,82 @@ def brute_force_w1(mu, nu, dist):
     total = best(supply, demand)
     best.cache_clear()
     return Fraction(total, scale)
+
+
+def _pairs_in_order(structure, p):
+    for block in p.blocks:
+        ordered = sorted(block, key=structure.index.__getitem__)
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1 :]:
+                yield a, b
+
+
+def _block_witness(structure, p, a, b, items_a, items_b):
+    if items_b - items_a:
+        lacking, having, beta = a, b, min(items_b - items_a)
+    else:
+        lacking, having, beta = b, a, min(items_a - items_b)
+    if isinstance(beta, tuple):
+        beta = beta[0]
+    c = min(
+        (w for w in structure.neighbors(having) if p.block_of[w] == beta),
+        key=structure.index.__getitem__,
+    )
+    return {"pair": [lacking, having], "neighbor": c, "block": beta}
+
+
+def _cardinality_sets(h, x, z):
+    return {
+        len(h.hyperedges[ei])
+        for ei in h.incident_hyperedges(x)
+        if z in h.hyperedges[ei]
+    }
+
+
+def _block_cardinality_pairs(h, p, v):
+    return {
+        (p.block_of[w], len(h.hyperedges[ei]))
+        for ei in h.incident_hyperedges(v)
+        for w in h.hyperedges[ei]
+        if w != v
+    }
+
+
+def brute_force_witness(notion, structure, p):
+    """to_json() of the verifier for `notion`, by scanning every same-block pair.
+
+    Pairs are scanned block by block, in dense-index order within a block, and
+    each pair's neighbourhoods are rebuilt from scratch; the first failing pair
+    gives the witness. `notion` is a CLI `verify --notion` name.
+    """
+    for a, b in _pairs_in_order(structure, p):
+        na, nb = structure.neighbors(a), structure.neighbors(b)
+        if notion == "structural":
+            if na != nb:
+                c = min(na ^ nb, key=structure.index.__getitem__)
+                violation = {"pair": [a, b], "neighbor": c, "block": p.block_of[c]}
+                return {"verdict": False, "violation": violation}
+        elif notion in ("regular", "weak-regular"):
+            blocks_a = {p.block_of[w] for w in na}
+            blocks_b = {p.block_of[w] for w in nb}
+            if blocks_a != blocks_b:
+                violation = _block_witness(structure, p, a, b, blocks_a, blocks_b)
+                return {"verdict": False, "violation": violation}
+        elif notion == "strong-regular":
+            pairs_a = _block_cardinality_pairs(structure, p, a)
+            pairs_b = _block_cardinality_pairs(structure, p, b)
+            if pairs_a != pairs_b:
+                violation = _block_witness(structure, p, a, b, pairs_a, pairs_b)
+                return {"verdict": False, "violation": violation}
+        elif notion == "weak-structural":
+            if na != nb:
+                return {"verdict": False, "violation": {"pair": [a, b]}}
+        elif notion == "strong-structural":
+            if na != nb or any(
+                _cardinality_sets(structure, a, z) != _cardinality_sets(structure, b, z)
+                for z in na
+            ):
+                return {"verdict": False, "violation": {"pair": [a, b]}}
+        else:
+            raise ValueError(f"unknown notion {notion!r}")
+    return {"verdict": True}

@@ -296,3 +296,38 @@ class TestFixturesCommand:
         assert result.exit_code == 0
         assert "FAIL" not in result.output
         assert "all checks passed" in result.output
+
+
+class TestBadInput:
+    """Malformed input exits 2 with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "blocks", ["1234", ["1234"], [[["1"]]]], ids=["string", "strings", "nested"]
+    )
+    def test_malformed_partition_blocks(self, runner, tmp_path, blocks):
+        l3 = tmp_path / "l3.edges"
+        l3.write_text("1 2\n2 3\n3 4\n")
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"blocks": blocks}))
+        result = runner.invoke(
+            main, ["verify", str(l3), str(part), "--notion", "regular"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: partition JSON")
+
+    def test_non_utf8_input(self, runner, tmp_path):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"a \xff\n")
+        result = runner.invoke(main, ["curv", str(bad), "--all"])
+        assert result.exit_code == 2
+        assert "not valid UTF-8" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_non_integer_path_cap(self, runner, c6, monkeypatch):
+        monkeypatch.setenv("EQUIVCURV_PATH_CAP", "abc")
+        result = runner.invoke(main, ["neigh", c6, "--n", "2"])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            "error: EQUIVCURV_PATH_CAP must be an integer, got 'abc'"
+        ]

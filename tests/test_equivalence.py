@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivcurv import (
+    Graph,
     HierarchyLevel,
+    Hypergraph,
     Partition,
     PreconditionError,
     ee_lemma_check,
@@ -17,16 +19,23 @@ from equivcurv import (
     is_regular_partition,
     is_strong_regular_partition,
     is_strong_structural,
+    is_strong_structural_partition,
     is_structural_partition,
     is_weak_regular_partition,
     is_weak_structural,
+    is_weak_structural_partition,
     orc,
     parse_graph,
     parse_hypergraph,
     structural_classes,
 )
 
-from support import random_connected_graph, random_hypergraph, random_partition
+from support import (
+    brute_force_witness,
+    random_connected_graph,
+    random_hypergraph,
+    random_partition,
+)
 
 
 class TestStructuralPartition:
@@ -257,3 +266,65 @@ class TestEELemma:
             return
         if ee_orc(h, x, y).kappa == 1 and h.distance(x, y) == 2:
             assert is_strong_structural(h, x, y)
+
+
+GRAPH_VERIFIERS = {
+    "structural": is_structural_partition,
+    "regular": is_regular_partition,
+}
+HYPERGRAPH_VERIFIERS = {
+    "weak-structural": is_weak_structural_partition,
+    "strong-structural": is_strong_structural_partition,
+    "weak-regular": is_weak_regular_partition,
+    "strong-regular": is_strong_regular_partition,
+}
+
+
+def _some_partition(rng, structure):
+    """A random partition, or one grouped by neighbour set, possibly coarsened.
+
+    Grouped partitions make true verdicts and late violations common.
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_partition(rng, structure.vertices)
+    if kind == 1:
+        return Partition([(v,) for v in structure.vertices])
+    groups = {}
+    for v in structure.vertices:
+        groups.setdefault(frozenset(structure.neighbors(v)), []).append(v)
+    blocks = list(groups.values())
+    rng.shuffle(blocks)
+    if kind == 3 and len(blocks) > 1:
+        merged = blocks.pop()
+        blocks[-1] = blocks[-1] + merged
+    for block in blocks:
+        rng.shuffle(block)
+    return Partition(blocks)
+
+
+class TestWitnessIdentity:
+    """Every verifier's JSON equals the all-pairs scan's, witness included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_graph_notions(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=9)
+        vertices = g.vertices + [f"i{k}" for k in range(rng.randint(0, 2))]
+        loops = [(v,) for v in rng.sample(vertices, rng.randint(0, 2))]
+        g = Graph(vertices, g.edge_ids() + loops)
+        p = _some_partition(rng, g)
+        for notion, verify in GRAPH_VERIFIERS.items():
+            assert verify(g, p).to_json() == brute_force_witness(notion, g, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_hypergraph_notions(self, seed):
+        rng = random.Random(seed)
+        h = random_hypergraph(rng, max_vertices=8, max_hyperedges=8)
+        singletons = [(v,) for v in rng.sample(h.vertices, rng.randint(0, 2))]
+        h = Hypergraph(h.vertices, h.hyperedges + singletons)
+        p = _some_partition(rng, h)
+        for notion, verify in HYPERGRAPH_VERIFIERS.items():
+            assert verify(h, p).to_json() == brute_force_witness(notion, h, p)

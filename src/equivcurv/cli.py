@@ -197,8 +197,10 @@ def _parse_edge_options(values):
     out = []
     for value in values:
         parts = value.split(",")
-        if len(parts) != 2:
-            raise click.UsageError(f"--remove expects 'u,v', got {value!r}")
+        if len(parts) != 2 or parts[0] == parts[1]:
+            raise click.UsageError(
+                f"--remove expects 'u,v' with u != v, got {value!r}"
+            )
         out.append(tuple(parts))
     return out
 

@@ -48,7 +48,10 @@ class Partition:
                 "partition JSON must be an object whose 'blocks' is a list of "
                 "lists of vertex-id strings"
             )
-        return cls(blocks)
+        try:
+            return cls(blocks)
+        except PreconditionError as exc:
+            raise ParseError(f"invalid partition: {exc}") from None
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -126,11 +129,13 @@ class Graph(_Indexed):
     def __init__(self, vertices, edges):
         super().__init__(vertices)
         edge_idx = set()
+        self._has_loops = False
         for e in edges:
             e = tuple(e)
             ids = sorted({self._idx(v) for v in e})
             if len(ids) == 1:
                 edge_idx.add((ids[0], ids[0]))
+                self._has_loops = True
             elif len(ids) == 2:
                 edge_idx.add((ids[0], ids[1]))
             else:
@@ -160,7 +165,7 @@ class Graph(_Indexed):
         return (min(i, j), max(i, j)) in self._edges
 
     def has_loops(self):
-        return any(i == j for i, j in self._edges)
+        return self._has_loops
 
     def n_edges(self):
         return len(self._edges)
@@ -300,10 +305,13 @@ class Hypergraph(_Indexed):
     def __init__(self, vertices, hyperedges):
         super().__init__(vertices)
         self.hyperedges = []
+        self._has_loops = False
         for e in hyperedges:
             e = tuple(e)
             if not e:
                 raise PreconditionError("empty hyperedge")
+            if len(e) == 1:
+                self._has_loops = True
             ids = [self._idx(v) for v in e]
             if len(set(ids)) != len(ids):
                 raise PreconditionError(f"duplicate vertex inside hyperedge {e!r}")
@@ -315,7 +323,7 @@ class Hypergraph(_Indexed):
         self._graph = None
 
     def has_loops(self):
-        return any(len(e) == 1 for e in self.hyperedges)
+        return self._has_loops
 
     def incident_hyperedges(self, v):
         """Indices of hyperedges containing v, with multiplicity."""

@@ -15,7 +15,6 @@ from .core import Graph, Hypergraph
 from .errors import PreconditionError, ResourceCapError
 
 DEFAULT_PATH_CAP = 8
-DEFAULT_VERTEX_CAP = 256
 DEFAULT_WORK_BUDGET = 5_000_000
 
 
@@ -33,38 +32,58 @@ class NeighborhoodGraph:
     graph: Graph
 
 
-def _check_graph_input(g, n):
+def _check_input(structure, n, loop_message):
     if n < 1:
         raise PreconditionError("neighbourhood order n must be >= 1")
-    if g.has_loops():
-        raise PreconditionError("neighbourhood graphs require a loop-free input")
+    if structure.has_loops():
+        raise PreconditionError(loop_message)
 
 
-def _path_edges(g, n, work_budget):
-    """Pairs joined by a simple path of length exactly n (DFS enumeration)."""
-    adj = g.adjacency()
+def _check_path_cap(n, path_cap, override_caps):
+    if n > path_cap and not override_caps:
+        raise ResourceCapError(
+            f"path length n={n} exceeds cap {path_cap} (override to proceed)"
+        )
+
+
+def _path_pairs(steps, n, work_budget):
+    """Pairs (i, j), i < j, joined by a simple path of exactly n steps.
+
+    `steps[v]` lists every (edge id, next vertex) leaving v. A path has
+    distinct vertices and distinct edges. Iterative DFS with one iterator per
+    open vertex; each extension costs one unit of work, and exceeding
+    `work_budget` raises ResourceCapError.
+    """
     pairs = set()
     work = 0
-
-    def extend(start, cur, depth, visited):
-        nonlocal work
-        if depth == n:
-            pairs.add((min(start, cur), max(start, cur)))
-            return
-        for nxt in adj[cur]:
-            if nxt in visited:
-                continue
-            work += 1
-            if work > work_budget:
-                raise ResourceCapError(
-                    f"path enumeration exceeded work budget {work_budget}"
-                )
-            visited.add(nxt)
-            extend(start, nxt, depth + 1, visited)
-            visited.remove(nxt)
-
-    for start in range(g.n_vertices()):
-        extend(start, start, 0, {start})
+    for start in range(len(steps)):
+        visited = {start}
+        used = set()
+        taken = []  # (edge, vertex) per open frame above the start
+        frames = [iter(steps[start])]
+        while frames:
+            for e, v in frames[-1]:
+                if v in visited or e in used:
+                    continue
+                work += 1
+                if work > work_budget:
+                    raise ResourceCapError(
+                        f"path enumeration exceeded work budget {work_budget}"
+                    )
+                if len(frames) == n:
+                    pairs.add((start, v) if start < v else (v, start))
+                    continue
+                visited.add(v)
+                used.add(e)
+                taken.append((e, v))
+                frames.append(iter(steps[v]))
+                break
+            else:
+                frames.pop()
+                if taken:
+                    e, v = taken.pop()
+                    visited.remove(v)
+                    used.remove(e)
     return pairs
 
 
@@ -105,39 +124,40 @@ def _walk_edges(g, n):
     return pairs
 
 
+def _from_pairs(base, n, mode, pairs):
+    edges = [(base.vertices[i], base.vertices[j]) for i, j in sorted(pairs)]
+    return NeighborhoodGraph(
+        base=base, n=n, mode=mode, graph=Graph(base.vertices, edges)
+    )
+
+
 def neighborhood_graph(
     g: Graph,
     n: int,
     mode: WalkMode = WalkMode.PATH,
     path_cap: int = DEFAULT_PATH_CAP,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
     override_caps: bool = False,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> NeighborhoodGraph:
     """Build the n-neighbourhood graph of g in the requested mode.
 
     Path mode enumerates simple paths and is exponential; it is guarded by
-    `path_cap` on n and `vertex_cap` on the vertex count unless
-    `override_caps` is set, plus a hard work budget that always applies.
+    `path_cap` on n unless `override_caps` is set, plus a hard work budget
+    that always applies.
     """
-    _check_graph_input(g, n)
-    if mode is WalkMode.PATH and not override_caps:
-        if n > path_cap:
-            raise ResourceCapError(
-                f"path-mode n={n} exceeds cap {path_cap} (override to proceed)"
-            )
-        if g.n_vertices() > vertex_cap:
-            raise ResourceCapError(
-                f"path-mode vertex count {g.n_vertices()} exceeds cap {vertex_cap}"
-            )
+    _check_input(g, n, "neighbourhood graphs require a loop-free input")
     if mode is WalkMode.PATH:
-        pairs = _path_edges(g, n, work_budget)
+        _check_path_cap(n, path_cap, override_caps)
+        steps = [[] for _ in g.vertices]
+        for e, (i, j) in enumerate(g.edge_pairs()):
+            steps[i].append((e, j))
+            steps[j].append((e, i))
+        pairs = _path_pairs(steps, n, work_budget)
     elif mode is WalkMode.NON_BACKTRACKING:
         pairs = _nb_edges(g, n)
     else:
         pairs = _walk_edges(g, n)
-    edges = [(g.vertices[i], g.vertices[j]) for i, j in sorted(pairs)]
-    return NeighborhoodGraph(base=g, n=n, mode=mode, graph=Graph(g.vertices, edges))
+    return _from_pairs(g, n, mode, pairs)
 
 
 def hyper_neighborhood_graph(
@@ -150,49 +170,17 @@ def hyper_neighborhood_graph(
     """Build H_n: edges between vertices joined by a path of n hyperedges.
 
     A hyperedge path has all vertices and all hyperedges distinct. H_1 is the
-    associated graph minus loops.
+    associated graph minus loops. Guarded like path mode in
+    `neighborhood_graph`.
     """
-    if n < 1:
-        raise PreconditionError("neighbourhood order n must be >= 1")
-    if h.has_loops():
-        raise PreconditionError("H_n requires all hyperedges to have |e| >= 2")
-    if n > path_cap and not override_caps:
-        raise ResourceCapError(
-            f"hypergraph path n={n} exceeds cap {path_cap} (override to proceed)"
-        )
-    incidence = [h.incident_hyperedges(v) for v in h.vertices]
-    members = [tuple(h.index[v] for v in e) for e in h.hyperedges]
-    pairs = set()
-    work = 0
-
-    def extend(start, cur, depth, visited, used):
-        nonlocal work
-        if depth == n:
-            pairs.add((min(start, cur), max(start, cur)))
-            return
-        for ei in incidence[cur]:
-            if ei in used:
-                continue
-            for nxt in members[ei]:
-                if nxt in visited:
-                    continue
-                work += 1
-                if work > work_budget:
-                    raise ResourceCapError(
-                        f"hyperedge path enumeration exceeded work budget {work_budget}"
-                    )
-                visited.add(nxt)
-                used.add(ei)
-                extend(start, nxt, depth + 1, visited, used)
-                used.remove(ei)
-                visited.remove(nxt)
-
-    for start in range(h.n_vertices()):
-        extend(start, start, 0, {start}, set())
-    edges = [(h.vertices[i], h.vertices[j]) for i, j in sorted(pairs)]
-    return NeighborhoodGraph(
-        base=h, n=n, mode=WalkMode.PATH, graph=Graph(h.vertices, edges)
-    )
+    _check_input(h, n, "H_n requires all hyperedges to have |e| >= 2")
+    _check_path_cap(n, path_cap, override_caps)
+    steps = [[] for _ in h.vertices]
+    for e, members in enumerate(h.hyperedges):
+        ids = [h.index[v] for v in members]
+        for i in ids:
+            steps[i].extend((e, j) for j in ids if j != i)
+    return _from_pairs(h, n, WalkMode.PATH, _path_pairs(steps, n, work_budget))
 
 
 @dataclass(frozen=True)

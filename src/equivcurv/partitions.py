@@ -144,7 +144,7 @@ def regular_from_curvature_subcliques(
     """
     if g.has_loops():
         raise PreconditionError("construction requires a loop-free graph")
-    chosen = [tuple(sorted(c, key=g.index.__getitem__)) for c in chosen]
+    chosen = [tuple(sorted(c, key=g._idx)) for c in chosen]
     taken = set()
     for block in chosen:
         for v in block:

@@ -1,11 +1,16 @@
 """Command-line interface: formats, determinism, and exit codes."""
 
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivcurv.cli import main
+
+from support import random_connected_graph
 
 
 @pytest.fixture
@@ -331,3 +336,168 @@ class TestBadInput:
         assert result.stderr.splitlines() == [
             "error: EQUIVCURV_PATH_CAP must be an integer, got 'abc'"
         ]
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[["1", "2"], ["2", "3", "4"]], [["1", "2", "3", "4"], []]],
+        ids=["repeated-vertex", "empty-block"],
+    )
+    def test_invalid_partition_blocks(self, runner, tmp_path, blocks):
+        l3 = tmp_path / "l3.edges"
+        l3.write_text("1 2\n2 3\n3 4\n")
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"blocks": blocks}))
+        result = runner.invoke(
+            main, ["verify", str(l3), str(part), "--notion", "regular"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: invalid partition")
+
+
+class TestNoTraceback:
+    """Inputs that once escaped the exit-code mapping as a traceback."""
+
+    def test_subclique_unknown_vertex(self, runner, fig3):
+        result = runner.invoke(
+            main, ["partition", fig3, "--method", "subcliques", "--block", "a,zz"]
+        )
+        assert result.exit_code == 3
+        assert result.stderr == "error: unknown vertex 'zz'\n"
+
+    def test_removal_of_a_loop_is_usage_error(self, runner, fig3):
+        result = runner.invoke(
+            main,
+            ["partition", fig3, "--method", "triangle-removal", "--remove", "a,a"],
+        )
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+class TestDeepPaths:
+    """Path enumeration is bounded by the length cap and the work budget only."""
+
+    @pytest.fixture
+    def chain(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EQUIVCURV_PATH_CAP", "2000")
+        path = tmp_path / "chain.txt"
+        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1200)))
+        return str(path)
+
+    @pytest.mark.parametrize("hyper", [False, True], ids=["graph", "hypergraph"])
+    def test_chain_n_1100(self, runner, chain, hyper):
+        args = ["neigh", chain, "--n", "1100"] + (["--hyper"] if hyper else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        edges = [line for line in lines if not line.startswith("block ")]
+        assert edges == [f"v{i} v{i + 1100}" for i in range(101)]
+        assert len(lines) - len(edges) == 1100
+
+    def test_g2_on_300_vertices(self, runner, tmp_path):
+        g = random_connected_graph(random.Random(7), 300, min_vertices=300)
+        path = tmp_path / "g300.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edge_ids()))
+        result = runner.invoke(main, ["partition", str(path), "--method", "g2"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["method"] == "g2-components"
+
+
+_NAMES = ["a", "b", "c", "d", "zz"]  # "zz" never occurs in an input file
+_name = st.sampled_from(_NAMES)
+# Vertex pairs, with a vertex paired with itself as a production of its own.
+_pair = st.one_of(st.tuples(_name, _name), _name.map(lambda v: (v, v)))
+_order = st.integers(-1, 4).map(str)
+
+
+def _lines(sizes):
+    """Input text whose lines have a token count drawn from `sizes`."""
+    tokens = st.lists(st.sampled_from(_NAMES[:4]), min_size=4, max_size=4)
+    row = st.tuples(st.sampled_from(sizes), tokens).map(lambda t: t[1][: t[0]])
+    return st.lists(row, max_size=6).map(
+        lambda rows: "".join(" ".join(r) + "\n" for r in rows)
+    )
+
+
+_METHODS = ["g2", "gn", "structural", "subcliques", "triangle-removal",
+            "kcycle-removal", "h2", "hn"]
+_NOTIONS = ["structural", "regular", "weak-structural", "strong-structural",
+            "weak-regular", "strong-regular"]
+
+
+@st.composite
+def _arguments(draw, command):
+    """Arguments after the input file for one command of the CLI grammar.
+
+    `command` is neigh, curv, sim, verify or "partition METHOD".
+    `--check-bounds` is left out: it exits 1 by design on a violated bound.
+    """
+    hyper = ["--hyper"] if draw(st.booleans()) else []
+    pick = st.one_of(
+        st.lists(_pair, min_size=1, max_size=2).map(
+            lambda ps: [arg for x, y in ps for arg in ("--pair", x, y)]
+        ),
+        st.just(["--all"]),
+    )
+    if command == "neigh":
+        mode = draw(st.sampled_from(["path", "nb", "walk"]))
+        inclusions = ["--check-inclusions"] if draw(st.booleans()) else []
+        return ["--n", draw(_order), "--mode", mode, *inclusions, *hyper]
+    if command == "curv":
+        walk = draw(st.sampled_from(["en", "ee"]))
+        return [*draw(pick), *hyper, "--walk", walk]
+    if command == "sim":
+        walk = draw(st.sampled_from(["graph", "en", "ee"]))
+        return [*draw(pick), *hyper, "--walk", walk]
+    if command == "verify":
+        return ["P", "--notion", draw(st.sampled_from(_NOTIONS))]
+    args = ["--method", command.split()[1]]
+    if draw(st.booleans()):
+        args += ["--n", draw(_order)]
+    if draw(st.booleans()):
+        args += ["--k", draw(st.integers(1, 5).map(str))]
+    for u, v in draw(st.lists(_pair, max_size=2)):
+        args += ["--remove", f"{u},{v}"]
+    for block in draw(st.lists(st.lists(_name, min_size=1, max_size=3), max_size=2)):
+        args += ["--block", ",".join(block)]
+    return args
+
+
+class TestFuzz:
+    """Any command on small random inputs exits 0, 2, 3 or 4, never with a traceback.
+
+    Each command, and each partition method, gets its own example budget, so
+    no part of the grammar is starved.
+    """
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @pytest.mark.parametrize(
+        "command",
+        ["neigh", "curv", "sim", "verify"] + [f"partition {m}" for m in _METHODS],
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        edges=_lines([2, 2, 2, 1, 3]),
+        hyperedges=_lines([2, 3, 4, 1]),
+        blocks=st.lists(st.lists(_name, max_size=3), max_size=4),
+        input_file=st.sampled_from(["G", "H"]),
+    )
+    def test_no_traceback(
+        self, workdir, command, data, edges, hyperedges, blocks, input_file
+    ):
+        files = {"G": workdir / "g.edges", "H": workdir / "h.hyper",
+                 "P": workdir / "p.json"}
+        files["G"].write_text(edges)
+        files["H"].write_text(hyperedges)
+        files["P"].write_text(json.dumps({"blocks": blocks}))
+        argv = [command.split()[0], input_file, *data.draw(_arguments(command))]
+        argv = [str(files[a]) if a in files else a for a in argv]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code in (0, 2, 3, 4), (argv, result.output)
+        assert result.exception is None or isinstance(
+            result.exception, SystemExit
+        ), (argv, result.exception)

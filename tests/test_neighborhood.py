@@ -222,3 +222,25 @@ class TestHypergraphNeighborhood:
         h = fixtures.hypergraph("h1")
         with pytest.raises(ResourceCapError):
             hyper_neighborhood_graph(h, 9)
+
+
+def hyper_path_oracle(h, n):
+    """Edge set of H_n by brute force: vertex sequences v_0..v_n, all distinct,
+    joined by n distinct hyperedges with {v_(i-1), v_i} inside the i-th."""
+    pairs = set()
+    for seq in itertools.permutations(h.vertices, n + 1):
+        options = [
+            [ei for ei, e in enumerate(h.hyperedges) if a in e and b in e]
+            for a, b in zip(seq, seq[1:])
+        ]
+        if any(len(set(chosen)) == n for chosen in itertools.product(*options)):
+            pairs.add(frozenset((seq[0], seq[-1])))
+    return pairs
+
+
+class TestHypergraphPathOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    def test_hn_matches_brute_force(self, seed, n):
+        h = random_hypergraph(random.Random(seed), max_vertices=6, max_hyperedges=6)
+        assert edge_set(hyper_neighborhood_graph(h, n)) == hyper_path_oracle(h, n)

@@ -15,7 +15,13 @@ from fractions import Fraction
 
 from .core import Graph, Hypergraph
 from .errors import PreconditionError
-from .transport import CurvatureResult, ee_orc, en_orc, orc
+from .transport import (
+    CurvatureResult,
+    _curvature_at,
+    ee_measure,
+    en_measure,
+    neighbor_measure,
+)
 
 SQRT_SCALE_BITS = 64  # rational sqrt enclosure denominator 2**64
 
@@ -138,11 +144,12 @@ def similarity_report(
     result = None
     if distance is not None:
         if walk is SimilarityWalk.GRAPH:
-            result = orc(g_or_h, x, y)
+            measure = neighbor_measure
         elif walk is SimilarityWalk.EN:
-            result = en_orc(g_or_h, x, y)
+            measure = en_measure
         else:
-            result = ee_orc(g_or_h, x, y)
+            measure = ee_measure
+        result = _curvature_at(measure(g_or_h, x), measure(g_or_h, y), g_or_h, distance)
     lower = upper = None
     if walk is SimilarityWalk.GRAPH and distance is not None:
         lower, upper = curvature_bounds(sigma, distance)

@@ -1,10 +1,15 @@
 """Exact discrete optimal transport and Ollivier-Ricci curvature.
 
-All masses and costs are exact rationals (`fractions.Fraction`); no floating
-point enters any equality decision. W1 is solved by scaling both measures to
-integers with the lcm of their mass denominators and running an integer
-min-cost transportation solver (successive shortest paths) on the bipartite
-support graph.
+All masses and costs are exact: masses are `fractions.Fraction`, costs and
+flows are `int`. W1 is solved by scaling both measures to integers with the
+lcm of their mass denominators and running the primal-dual (Hungarian)
+method for the transportation problem on the bipartite support graph. The
+solver keeps integer duals u (sources) and v (sinks) with u_i + v_j <= c_ij
+and moves mass only along cells where equality holds, so its final duals
+certify the optimum. The coupling witness is deterministic: every scan takes
+the lowest source index first, then the lowest sink index. W1 and kappa are
+unique; the coupling is one optimal coupling among possibly many, and may
+differ from the one earlier versions (successive shortest paths) returned.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from math import lcm
 
 from .core import Graph, Hypergraph
 from .errors import PreconditionError
-
-INF = float("inf")
 
 
 def fraction_str(q) -> str:
@@ -135,78 +138,102 @@ def ee_measure(h: Hypergraph, x) -> Measure:
 
 
 def _solve_transport(supply, demand, cost):
-    """Integer min-cost transportation by successive shortest paths.
+    """Integer min-cost transportation by the primal-dual (Hungarian) method.
 
-    supply/demand are positive integers with equal totals; cost is an integer
-    matrix. Returns (flow matrix, total cost). Deterministic: relaxations scan
-    nodes in a fixed order, so the optimal witness is reproducible.
+    supply/demand are positive integers with equal totals; cost is a matrix of
+    nonnegative integers. Returns (flow, total, u, v): an optimal flow matrix,
+    its cost, and integer duals with u[i] + v[j] <= cost[i][j] everywhere,
+    equality wherever flow[i][j] > 0, and sum(supply*u) + sum(demand*v) =
+    total. Flow only ever moves along tight cells (reduced cost 0). Each phase
+    saturates tight cells greedily, then augments along shortest paths of the
+    tight network until no sink with demand left is reachable, then raises the
+    duals of the reachable part by the least reduced cost that leaves it.
+    Every scan runs in index order, lowest index first, so the witness is
+    reproducible.
     """
     m, k = len(supply), len(demand)
+    u = [min(row) for row in cost]
+    v = [min(cost[i][j] - u[i] for i in range(m)) for j in range(k)]
     flow = [[0] * k for _ in range(m)]
-    rem_s = list(supply)
-    rem_d = list(demand)
-    while any(rem_d):
-        # Bellman-Ford on the residual bipartite graph.
-        dist_s = [0 if rem_s[i] > 0 else INF for i in range(m)]
-        dist_d = [INF] * k
-        par_d = [None] * k  # source feeding each sink
-        par_s = [None] * m  # sink feeding each source (via residual arc)
-        for _ in range(m + k):
-            changed = False
-            for i in range(m):
-                di = dist_s[i]
-                if di == INF:
-                    continue
-                ci = cost[i]
-                for j in range(k):
-                    nd = di + ci[j]
-                    if nd < dist_d[j]:
-                        dist_d[j] = nd
-                        par_d[j] = i
-                        changed = True
+    rem_s, rem_d = list(supply), list(demand)
+    left = sum(supply)
+    while left:
+        tight = [[j for j in range(k) if cost[i][j] - u[i] == v[j]] for i in range(m)]
+        for i, row in enumerate(tight):
+            for j in row:
+                q = min(rem_s[i], rem_d[j])
+                if q:
+                    flow[i][j] += q
+                    rem_s[i] -= q
+                    rem_d[j] -= q
+                    left -= q
+        while left:
+            sink, pred_s, pred_d = _search(tight, flow, rem_s, rem_d)
+            if sink is None:
+                break
+            left -= _augment(sink, pred_s, pred_d, flow, rem_s, rem_d)
+        if left:
+            reached = [i for i in range(m) if pred_s[i] is not None]
+            unreached = [j for j in range(k) if pred_d[j] is None]
+            delta = min(cost[i][j] - u[i] - v[j] for i in reached for j in unreached)
+            for i in reached:
+                u[i] += delta
             for j in range(k):
-                dj = dist_d[j]
-                if dj == INF:
-                    continue
-                for i in range(m):
-                    if flow[i][j] > 0 and dj - cost[i][j] < dist_s[i]:
-                        dist_s[i] = dj - cost[i][j]
-                        par_s[i] = j
-                        changed = True
-            if not changed:
-                break
-        j = min(
-            (jj for jj in range(k) if rem_d[jj] > 0),
-            key=lambda jj: (dist_d[jj], jj),
-        )
-        if dist_d[j] == INF:
-            raise PreconditionError("transportation problem is infeasible")
-        # Trace the augmenting path back to a source with remaining supply.
-        path = []  # forward arcs (i, j) along the path
-        back = []  # residual arcs (i, j) whose flow is reduced
-        jj = j
-        while True:
-            i = par_d[jj]
-            path.append((i, jj))
-            if rem_s[i] > 0 and dist_s[i] == 0 and par_s[i] is None:
-                break
-            if par_s[i] is None:
-                break
-            jj = par_s[i]
-            back.append((i, jj))
-        amount = min(rem_s[path[-1][0]], rem_d[j])
-        for i, jj in back:
-            amount = min(amount, flow[i][jj])
-        for i, jj in path:
-            flow[i][jj] += amount
-        for i, jj in back:
-            flow[i][jj] -= amount
-        rem_s[path[-1][0]] -= amount
-        rem_d[j] -= amount
+                if pred_d[j] is not None:
+                    v[j] -= delta
     total = sum(
         flow[i][j] * cost[i][j] for i in range(m) for j in range(k) if flow[i][j]
     )
-    return flow, total
+    return flow, total, u, v
+
+
+def _search(tight, flow, rem_s, rem_d):
+    """Breadth-first search of the tight residual network.
+
+    Starts from every source with supply left, goes forward over tight cells
+    and backward over cells that carry flow. Returns (sink, pred_s, pred_d):
+    the first sink reached with demand left (None if there is none), and the
+    predecessor of every reached source (-1 for a start) and sink.
+    """
+    pred_s = [-1 if r else None for r in rem_s]
+    pred_d = [None] * len(rem_d)
+    queue = [i for i, r in enumerate(rem_s) if r]
+    for i in queue:  # the list grows while it is read: a FIFO queue
+        for j in tight[i]:
+            if pred_d[j] is not None:
+                continue
+            pred_d[j] = i
+            if rem_d[j]:
+                return j, pred_s, pred_d
+            for i2, row in enumerate(flow):
+                if pred_s[i2] is None and row[j]:
+                    pred_s[i2] = j
+                    queue.append(i2)
+    return None, pred_s, pred_d
+
+
+def _augment(sink, pred_s, pred_d, flow, rem_s, rem_d):
+    """Push the path's bottleneck from its start source to `sink`; return it."""
+    amount = rem_d[sink]
+    j = sink
+    while True:
+        i = pred_d[j]
+        if pred_s[i] == -1:
+            break
+        j = pred_s[i]
+        amount = min(amount, flow[i][j])
+    amount = min(amount, rem_s[i])
+    j = sink
+    while True:
+        i = pred_d[j]
+        flow[i][j] += amount
+        if pred_s[i] == -1:
+            break
+        j = pred_s[i]
+        flow[i][j] -= amount
+    rem_s[i] -= amount
+    rem_d[sink] -= amount
+    return amount
 
 
 def wasserstein1(mu: Measure, nu: Measure, dist):
@@ -235,7 +262,7 @@ def wasserstein1(mu: Measure, nu: Measure, dist):
     )
     supply = [int(mu[u] * scale) for u in sources]
     demand = [int(nu[v] * scale) for v in targets]
-    flow, total = _solve_transport(supply, demand, cost)
+    flow, total, _, _ = _solve_transport(supply, demand, cost)
     entries = {
         (u, v): Fraction(flow[i][j], scale)
         for i, u in enumerate(sources)
@@ -254,6 +281,11 @@ def _curvature(mu, nu, structure, x, y) -> CurvatureResult:
         raise PreconditionError(
             f"{x!r} and {y!r} lie in different connected components"
         )
+    return _curvature_at(mu, nu, structure, d)
+
+
+def _curvature_at(mu, nu, structure, d) -> CurvatureResult:
+    """Curvature of a pair of distinct vertices already known to lie at distance d."""
     dists = {}  # BFS rows on demand; the measures are loop-free, so never x's
 
     def dist(u, v):

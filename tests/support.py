@@ -9,6 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+import networkx as nx
+
 from equivcurv import Graph, Hypergraph, Partition
 
 
@@ -110,6 +112,23 @@ def brute_force_w1(mu, nu, dist):
     total = best(supply, demand)
     best.cache_clear()
     return Fraction(total, scale)
+
+
+def networkx_w1(mu, nu, dist):
+    """W1 by networkx's min-cost flow on the lcm-scaled transportation problem."""
+    scale = lcm(
+        *[m.denominator for m in mu.masses.values()],
+        *[m.denominator for m in nu.masses.values()],
+    )
+    net = nx.DiGraph()
+    for u in mu.support():
+        net.add_node(("s", u), demand=-int(mu[u] * scale))
+    for v in nu.support():
+        net.add_node(("t", v), demand=int(nu[v] * scale))
+    for u in mu.support():
+        for v in nu.support():
+            net.add_edge(("s", u), ("t", v), weight=0 if u == v else dist(u, v))
+    return Fraction(nx.min_cost_flow_cost(net), scale)
 
 
 def _pairs_in_order(structure, p):

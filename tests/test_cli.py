@@ -8,9 +8,18 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equivcurv import (
+    ee_measure,
+    en_measure,
+    fixtures,
+    fraction_str,
+    neighbor_measure,
+    parse_graph,
+    parse_hypergraph,
+)
 from equivcurv.cli import main
 
-from support import random_connected_graph
+from support import networkx_w1, random_connected_graph
 
 
 @pytest.fixture
@@ -501,3 +510,44 @@ class TestFuzz:
         assert result.exception is None or isinstance(
             result.exception, SystemExit
         ), (argv, result.exception)
+
+
+_CURV_CASES = [(name, []) for name in sorted(fixtures.GRAPHS)] + [
+    (name, ["--hyper", "--walk", walk])
+    for name in sorted(fixtures.HYPERGRAPHS)
+    for walk in ("en", "ee")
+]
+
+
+class TestCurvAgainstNetworkx:
+    """Every `curv --all` row on the bundled corpus, against networkx min-cost flow."""
+
+    @pytest.mark.parametrize("name, extra", _CURV_CASES)
+    def test_rows(self, runner, tmp_path, name, extra):
+        hyper = bool(extra)
+        text = (fixtures.HYPERGRAPHS if hyper else fixtures.GRAPHS)[name]
+        path = tmp_path / name
+        path.write_text(text)
+        result = runner.invoke(main, ["curv", str(path), "--all", *extra])
+        assert result.exit_code == 0, result.output
+        structure = parse_hypergraph(text) if hyper else parse_graph(text)
+        if hyper:
+            measure = {"en": en_measure, "ee": ee_measure}[extra[-1]]
+        else:
+            measure = neighbor_measure
+        rows = json.loads(result.output)["pairs"]
+        connected = [
+            (x, y)
+            for i, x in enumerate(structure.vertices)
+            for y in structure.vertices[i + 1 :]
+            if structure.distance(x, y) is not None
+        ]
+        assert len(rows) == len(connected) > 0
+        for row in rows:
+            x, y = row["x"], row["y"]
+            d = structure.distance(x, y)
+            mu, nu = measure(structure, x), measure(structure, y)
+            w1 = networkx_w1(mu, nu, structure.distance)
+            assert row["distance"] == d
+            assert row["w1"] == fraction_str(w1)
+            assert row["kappa"] == fraction_str(1 - w1 / d)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from equivcurv import (
     Coupling,
+    Graph,
+    Hypergraph,
     Measure,
     PreconditionError,
     ee_measure,
@@ -25,7 +27,14 @@ from equivcurv import (
     wasserstein1,
 )
 
-from support import brute_force_w1, random_connected_graph, random_hypergraph
+from equivcurv.transport import _solve_transport
+
+from support import (
+    brute_force_w1,
+    networkx_w1,
+    random_connected_graph,
+    random_hypergraph,
+)
 
 
 def random_measure(rng, points):
@@ -232,3 +241,145 @@ class TestCurvature:
             assert r.kappa <= 1
             assert (r.kappa == 1 and r.distance == 1) or r.w1 >= 0
             assert (r.w1 == 0) == measures_equal(measure(h, x), measure(h, y))
+
+
+def composition(rng, total, parts):
+    """Random split of `total` into `parts` positive integers."""
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def chain_hypergraph(rng, max_vertices=20):
+    """Connected hypergraph: a spanning chain plus hyperedges of size 2..5."""
+    n = rng.randint(2, max_vertices)
+    names = [f"v{i}" for i in range(n)]
+    hyperedges = [(names[i], names[i + 1]) for i in range(n - 1)]
+    for _ in range(rng.randint(0, 2 * n)):
+        hyperedges.append(tuple(rng.sample(names, rng.randint(2, min(5, n)))))
+    return Hypergraph(names, hyperedges)
+
+
+def dense_connected_graph(rng, max_vertices=20):
+    """Random spanning tree plus each other pair with one random probability."""
+    n = rng.randint(2, max_vertices)
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    p = rng.random()
+    for i, a in enumerate(names):
+        edges += [(a, b) for b in names[i + 1 :] if rng.random() < p]
+    return Graph(names, edges)
+
+
+def wide_measure(rng, points, max_support=15):
+    """Random measure whose scaled masses run into the thousands."""
+    support = rng.sample(points, rng.randint(1, min(max_support, len(points))))
+    weights = [rng.randint(1, 999) for _ in support]
+    total = sum(weights)
+    return Measure({p: Fraction(w, total) for p, w in zip(support, weights)})
+
+
+class TestNetworkxAtBenchmarkSize:
+    """wasserstein1 against networkx min-cost flow on supports up to ~15-19."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_hypergraph_walk_measures(self, seed):
+        rng = random.Random(seed)
+        h = chain_hypergraph(rng)
+        x, y = rng.sample(h.vertices, 2)
+        for measure in (en_measure, ee_measure):
+            mu, nu = measure(h, x), measure(h, y)
+            w1, coupling = wasserstein1(mu, nu, h.distance)
+            assert w1 == networkx_w1(mu, nu, h.distance)
+            assert coupling.cost(h.distance) == w1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_graph_neighbour_measures(self, seed):
+        rng = random.Random(seed)
+        g = dense_connected_graph(rng)
+        x, y = rng.sample(g.vertices, 2)
+        mu, nu = neighbor_measure(g, x), neighbor_measure(g, y)
+        w1, coupling = wasserstein1(mu, nu, g.distance)
+        assert w1 == networkx_w1(mu, nu, g.distance)
+        assert coupling.cost(g.distance) == w1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_scaled_masses_in_the_thousands(self, seed):
+        rng = random.Random(seed)
+        h = chain_hypergraph(rng)
+        mu, nu = wide_measure(rng, h.vertices), wide_measure(rng, h.vertices)
+        w1, coupling = wasserstein1(mu, nu, h.distance)
+        assert w1 == networkx_w1(mu, nu, h.distance)
+        assert coupling.cost(h.distance) == w1
+
+
+class TestDualCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_duals_certify_the_optimum(self, seed):
+        rng = random.Random(seed)
+        m, k = rng.randint(1, 15), rng.randint(1, 15)
+        total = rng.randint(max(m, k, 2), 5000)
+        supply, demand = composition(rng, total, m), composition(rng, total, k)
+        top = rng.choice((0, 1, 2, 5, 40))
+        cost = [[rng.randint(0, top) for _ in range(k)] for _ in range(m)]
+        flow, w, u, v = _solve_transport(supply, demand, cost)
+        assert [sum(row) for row in flow] == supply
+        assert [sum(col) for col in zip(*flow)] == demand
+        for i in range(m):
+            for j in range(k):
+                assert flow[i][j] >= 0
+                assert u[i] + v[j] <= cost[i][j]
+                if flow[i][j]:
+                    assert u[i] + v[j] == cost[i][j]
+        assert w == sum(flow[i][j] * cost[i][j] for i in range(m) for j in range(k))
+        assert sum(s * a for s, a in zip(supply, u)) + sum(
+            d * b for d, b in zip(demand, v)
+        ) == w
+
+
+class TestDegenerateShapes:
+    def test_single_source(self):
+        g = fixtures.graph("p9")
+        mu = Measure({"1": Fraction(1)})
+        nu = neighbor_measure(g, "5")
+        w1, coupling = wasserstein1(mu, nu, g.distance)
+        assert w1 == sum(nu[v] * g.distance("1", v) for v in nu.support())
+        assert coupling.entries == {("1", v): nu[v] for v in nu.support()}
+
+    def test_single_sink(self):
+        g = fixtures.graph("p9")
+        mu = neighbor_measure(g, "4")
+        nu = Measure({"9": Fraction(1)})
+        w1, coupling = wasserstein1(mu, nu, g.distance)
+        assert w1 == sum(mu[u] * g.distance(u, "9") for u in mu.support())
+        assert coupling.entries == {(u, "9"): mu[u] for u in mu.support()}
+
+    def test_identical_measures_stay_on_the_diagonal(self):
+        h = fixtures.hypergraph("h1")
+        mu = ee_measure(h, "x")
+        w1, coupling = wasserstein1(mu, Measure(mu.masses), h.distance)
+        assert w1 == 0
+        assert coupling.entries == {(v, v): mu[v] for v in mu.support()}
+
+    def test_all_equal_costs(self):
+        mu = Measure({"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(1, 6)})
+        nu = Measure({"p": Fraction(1, 4), "q": Fraction(3, 4)})
+        w1, coupling = wasserstein1(mu, nu, lambda u, v: 3)
+        assert w1 == 3
+        assert coupling.cost(lambda u, v: 3) == 3
+
+    def test_ties_go_to_the_lowest_index(self):
+        flow, total, _, _ = _solve_transport([2, 1], [1, 2], [[0, 0], [0, 0]])
+        assert flow == [[1, 1], [0, 1]]
+        assert total == 0
+
+    def test_repeated_calls_give_the_same_coupling(self):
+        h = fixtures.hypergraph("hw")
+        mu, nu = ee_measure(h, "x"), ee_measure(h, "y")
+        w1_a, a = wasserstein1(mu, nu, h.distance)
+        w1_b, b = wasserstein1(mu, nu, h.distance)
+        assert w1_a == w1_b
+        assert list(a.entries.items()) == list(b.entries.items())

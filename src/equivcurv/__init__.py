@@ -54,7 +54,6 @@ from .partitions import (
 from .similarity import (
     CosineData,
     SimilarityReport,
-    SimilarityWalk,
     bounds_hold,
     cosine_similarity,
     curvature_bounds,
@@ -64,6 +63,7 @@ from .transport import (
     Coupling,
     CurvatureResult,
     Measure,
+    SimilarityWalk,
     ee_measure,
     ee_orc,
     en_measure,

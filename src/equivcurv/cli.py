@@ -51,15 +51,14 @@ from .partitions import (
     weak_regular_from_h2,
     weak_regular_from_hn,
 )
-from .similarity import CosineData, SimilarityWalk, bounds_hold, similarity_report
-from .transport import ee_orc, en_orc, fraction_str, orc
+from .similarity import CosineData, bounds_hold, similarity_report
+from .transport import SimilarityWalk, _curvature, ee_orc, en_orc, fraction_str, orc
 
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 
 _WALK_MODES = {"path": WalkMode.PATH, "nb": WalkMode.NON_BACKTRACKING, "walk": WalkMode.WALK}
-_SIM_WALKS = {"graph": SimilarityWalk.GRAPH, "en": SimilarityWalk.EN, "ee": SimilarityWalk.EE}
 
 
 def _path_cap():
@@ -157,10 +156,18 @@ def _component_pairs(structure):
                 yield x, y
 
 
-def _curvature_fn(hyper, walk):
-    if not hyper:
-        return orc
-    return en_orc if walk == "en" else ee_orc
+def _pairs_input(input_file, pairs, all_pairs, hyper, walk):
+    """Check the pair options and the walk, load the input, list the pairs."""
+    if not pairs and not all_pairs:
+        raise click.UsageError("provide --pair X Y or --all")
+    walk = SimilarityWalk(walk)
+    if hyper and walk is SimilarityWalk.GRAPH:
+        raise click.UsageError("use --walk en or --walk ee with --hyper")
+    if not hyper and walk is not SimilarityWalk.GRAPH:
+        raise click.UsageError("--walk en/ee requires --hyper")
+    structure = _load_hypergraph(input_file) if hyper else _load_graph(input_file)
+    wanted = list(pairs) if pairs else list(_component_pairs(structure))
+    return structure, walk, wanted
 
 
 @main.command("curv")
@@ -173,14 +180,13 @@ def _curvature_fn(hyper, walk):
 @_exit_codes
 def cmd_curvature(input_file, pairs, all_pairs, hyper, walk):
     """Exact Ollivier-Ricci curvature report as JSON."""
-    if not pairs and not all_pairs:
-        raise click.UsageError("provide --pair X Y or --all")
-    structure = _load_hypergraph(input_file) if hyper else _load_graph(input_file)
-    wanted = list(pairs) if pairs else list(_component_pairs(structure))
-    compute = _curvature_fn(hyper, walk)
+    # --walk is ignored for graphs
+    structure, walk, wanted = _pairs_input(
+        input_file, pairs, all_pairs, hyper, walk if hyper else "graph"
+    )
     rows = []
     for x, y in wanted:
-        result = compute(structure, x, y)
+        result = _curvature(structure, x, y, walk)
         rows.append(
             {
                 "x": x,
@@ -312,24 +318,18 @@ def _sim_row(report, sigma):
 @click.option("--pair", "pairs", nargs=2, multiple=True)
 @click.option("--all", "all_pairs", is_flag=True)
 @click.option("--hyper", is_flag=True)
-@click.option("--walk", default="graph", type=click.Choice(sorted(_SIM_WALKS)))
+@click.option("--walk", default="graph",
+              type=click.Choice(sorted(w.value for w in SimilarityWalk)))
 @click.option("--check-bounds", is_flag=True,
               help="Exit nonzero if any curvature bound is violated.")
 @_exit_codes
 def cmd_similarity(input_file, pairs, all_pairs, hyper, walk, check_bounds):
     """Similarity reports (cosine, curvature, bounds) as JSON."""
-    if not pairs and not all_pairs:
-        raise click.UsageError("provide --pair X Y or --all")
-    if hyper and walk == "graph":
-        raise click.UsageError("use --walk en or --walk ee with --hyper")
-    if not hyper and walk != "graph":
-        raise click.UsageError("--walk en/ee requires --hyper")
-    structure = _load_hypergraph(input_file) if hyper else _load_graph(input_file)
-    wanted = list(pairs) if pairs else list(_component_pairs(structure))
+    structure, walk, wanted = _pairs_input(input_file, pairs, all_pairs, hyper, walk)
     rows = []
     violations = 0
     for x, y in wanted:
-        report = similarity_report(structure, x, y, _SIM_WALKS[walk])
+        report = similarity_report(structure, x, y, walk)
         sigma = CosineData(report.eta, report.d_x, report.d_y)
         rows.append(_sim_row(report, sigma))
         if check_bounds and report.kappa is not None and not hyper:

@@ -87,16 +87,26 @@ def _path_pairs(steps, n, work_budget):
     return pairs
 
 
-def _nb_edges(g, n):
+def _charge(work, work_budget):
+    """Return work; raise ResourceCapError once it exceeds the budget."""
+    if work > work_budget:
+        raise ResourceCapError(f"walk enumeration exceeded work budget {work_budget}")
+    return work
+
+
+def _nb_edges(g, n, work_budget):
     """Pairs joined by a non-backtracking walk of length exactly n.
 
     Reachability in exactly n steps on the directed state graph of oriented
-    edges, forbidding immediate reversal.
+    edges, forbidding immediate reversal. Each state produced at each step
+    costs one unit of work.
     """
     adj = g.adjacency()
     pairs = set()
+    work = 0
     for start in range(g.n_vertices()):
         states = {(start, nxt) for nxt in adj[start]}  # after one step
+        work = _charge(work + len(states), work_budget)
         for _ in range(n - 1):
             states = {
                 (cur, nxt)
@@ -104,18 +114,24 @@ def _nb_edges(g, n):
                 for nxt in adj[cur]
                 if nxt != prev
             }
+            work = _charge(work + len(states), work_budget)
         for _, end in states:
             if end != start:
                 pairs.add((min(start, end), max(start, end)))
     return pairs
 
 
-def _walk_edges(g, n):
-    """Pairs joined by any walk of length exactly n (boolean relation power)."""
+def _walk_edges(g, n, work_budget):
+    """Pairs joined by any walk of length exactly n (boolean relation power).
+
+    Each (start, end) state produced at each step costs one unit of work.
+    """
     adj = [set(a) for a in g.adjacency()]
     reach = adj
+    work = _charge(sum(map(len, reach)), work_budget)
     for _ in range(n - 1):
         reach = [set().union(*(adj[w] for w in r)) if r else set() for r in reach]
+        work = _charge(work + sum(map(len, reach)), work_budget)
     pairs = set()
     for u, r in enumerate(reach):
         for v in r:
@@ -142,8 +158,8 @@ def neighborhood_graph(
     """Build the n-neighbourhood graph of g in the requested mode.
 
     Path mode enumerates simple paths and is exponential; it is guarded by
-    `path_cap` on n unless `override_caps` is set, plus a hard work budget
-    that always applies.
+    `path_cap` on n unless `override_caps` is set. A hard work budget always
+    applies, in every mode.
     """
     _check_input(g, n, "neighbourhood graphs require a loop-free input")
     if mode is WalkMode.PATH:
@@ -154,9 +170,9 @@ def neighborhood_graph(
             steps[j].append((e, i))
         pairs = _path_pairs(steps, n, work_budget)
     elif mode is WalkMode.NON_BACKTRACKING:
-        pairs = _nb_edges(g, n)
+        pairs = _nb_edges(g, n, work_budget)
     else:
-        pairs = _walk_edges(g, n)
+        pairs = _walk_edges(g, n, work_budget)
     return _from_pairs(g, n, mode, pairs)
 
 
@@ -198,8 +214,8 @@ class InclusionReport:
 def inclusion_check(g: Graph, n: int, **kwargs) -> InclusionReport:
     """Verify E_n <= E_n^NB <= E_n^walk by building all three modes."""
     path = neighborhood_graph(g, n, WalkMode.PATH, **kwargs).graph
-    nb = neighborhood_graph(g, n, WalkMode.NON_BACKTRACKING).graph
-    walk = neighborhood_graph(g, n, WalkMode.WALK).graph
+    nb = neighborhood_graph(g, n, WalkMode.NON_BACKTRACKING, **kwargs).graph
+    walk = neighborhood_graph(g, n, WalkMode.WALK, **kwargs).graph
     path_edges = set(map(frozenset, path.edge_ids()))
     nb_edges = set(map(frozenset, nb.edge_ids()))
     walk_edges = set(map(frozenset, walk.edge_ids()))

@@ -8,28 +8,15 @@ Ollivier-Ricci curvature of the pair.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Graph, Hypergraph
 from .errors import PreconditionError
-from .transport import (
-    CurvatureResult,
-    _curvature_at,
-    ee_measure,
-    en_measure,
-    neighbor_measure,
-)
+from .transport import CurvatureResult, SimilarityWalk, _curvature
 
 SQRT_SCALE_BITS = 64  # rational sqrt enclosure denominator 2**64
-
-
-class SimilarityWalk(enum.Enum):
-    GRAPH = "graph"
-    EN = "en"
-    EE = "ee"
 
 
 @dataclass(frozen=True)
@@ -71,6 +58,10 @@ def _sqrt_interval(n: int):
     return lo, Fraction(root + 1, scale)
 
 
+def _lower_bound(sigma: CosineData) -> Fraction:
+    return Fraction(3 * sigma.eta, max(sigma.d_x, sigma.d_y)) - 2
+
+
 def curvature_bounds(sigma: CosineData, distance: int):
     """Exact lower bound and certified upper bound for the pair's curvature.
 
@@ -80,7 +71,7 @@ def curvature_bounds(sigma: CosineData, distance: int):
     """
     if distance is None or distance < 1:
         raise PreconditionError("curvature bounds require a finite distance >= 1")
-    lower = Fraction(3 * sigma.eta, max(sigma.d_x, sigma.d_y)) - 2
+    lower = _lower_bound(sigma)
     if sigma.is_zero():
         upper = 1 - Fraction(1, distance)
     elif sigma.is_one():
@@ -98,8 +89,7 @@ def bounds_hold(sigma: CosineData, distance: int, kappa: Fraction) -> bool:
     The upper comparison kappa <= 1 - (1 - sigma)/d is cleared to
     sigma >= 1 - d(1 - kappa) and squared, so the decision is rational.
     """
-    lower = Fraction(3 * sigma.eta, max(sigma.d_x, sigma.d_y)) - 2
-    if kappa < lower:
+    if kappa < _lower_bound(sigma):
         return False
     threshold = 1 - distance * (1 - kappa)  # sigma must be >= this
     if threshold <= 0:
@@ -141,15 +131,7 @@ def similarity_report(
     sigma = cosine_similarity(g_or_h, x, y)
     distance = g_or_h.distance(x, y)
     fully_dissimilar = distance is None or distance > 2
-    result = None
-    if distance is not None:
-        if walk is SimilarityWalk.GRAPH:
-            measure = neighbor_measure
-        elif walk is SimilarityWalk.EN:
-            measure = en_measure
-        else:
-            measure = ee_measure
-        result = _curvature_at(measure(g_or_h, x), measure(g_or_h, y), g_or_h, distance)
+    result = None if distance is None else _curvature(g_or_h, x, y, walk, distance)
     lower = upper = None
     if walk is SimilarityWalk.GRAPH and distance is not None:
         lower, upper = curvature_bounds(sigma, distance)

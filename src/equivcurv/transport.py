@@ -8,12 +8,15 @@ solver keeps integer duals u (sources) and v (sinks) with u_i + v_j <= c_ij
 and moves mass only along cells where equality holds, so its final duals
 certify the optimum. The coupling witness is deterministic: every scan takes
 the lowest source index first, then the lowest sink index. W1 and kappa are
-unique; the coupling is one optimal coupling among possibly many, and may
-differ from the one earlier versions (successive shortest paths) returned.
+unique; the coupling is one optimal coupling among possibly many.
+
+`_curvature` is the one place where a walk (`SimilarityWalk`) becomes a pair
+of measures and a curvature; `orc`, `en_orc` and `ee_orc` call it.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -59,6 +62,11 @@ def measures_equal(mu: Measure, nu: Measure) -> bool:
     return mu.masses == nu.masses
 
 
+def _scaled(mu: Measure, scale: int):
+    """Masses of mu times `scale`, as integers; scale is a common denominator."""
+    return {v: m.numerator * (scale // m.denominator) for v, m in mu.masses.items()}
+
+
 class Coupling:
     """Joint rational mass on vertex pairs with prescribed marginals."""
 
@@ -66,14 +74,22 @@ class Coupling:
         self.entries = {
             (u, v): Fraction(m) for (u, v), m in entries.items() if m != 0
         }
+        # Marginals are compared as integers: every mass times the lcm of all
+        # denominators, entries' and measures' alike.
+        scale = lcm(
+            *[m.denominator for m in self.entries.values()],
+            *[m.denominator for m in mu.masses.values()],
+            *[m.denominator for m in nu.masses.values()],
+        )
         row = {}
         col = {}
         for (u, v), m in self.entries.items():
             if m < 0:
                 raise PreconditionError("coupling has a negative entry")
-            row[u] = row.get(u, Fraction(0)) + m
-            col[v] = col.get(v, Fraction(0)) + m
-        if row != mu.masses or col != nu.masses:
+            q = m.numerator * (scale // m.denominator)
+            row[u] = row.get(u, 0) + q
+            col[v] = col.get(v, 0) + q
+        if row != _scaled(mu, scale) or col != _scaled(nu, scale):
             raise PreconditionError("coupling marginals do not match the measures")
 
     def cost(self, dist) -> Fraction:
@@ -84,6 +100,14 @@ class Coupling:
                 raise PreconditionError("coupling moves mass across components")
             total += m * d
         return total
+
+
+class SimilarityWalk(enum.Enum):
+    """The random walk whose measures define a curvature."""
+
+    GRAPH = "graph"
+    EN = "en"
+    EE = "ee"
 
 
 @dataclass(frozen=True)
@@ -273,19 +297,27 @@ def wasserstein1(mu: Measure, nu: Measure, dist):
     return Fraction(total, scale), coupling
 
 
-def _curvature(mu, nu, structure, x, y) -> CurvatureResult:
+def _curvature(structure, x, y, walk, d=None) -> CurvatureResult:
+    """Curvature of the pair (x, y) under `walk`; d is their distance, if known.
+
+    Errors come in a fixed order: measure errors (x's, then y's), then
+    x == y, then x and y in different components.
+    """
+    if walk is SimilarityWalk.GRAPH:
+        measure = neighbor_measure
+    elif walk is SimilarityWalk.EN:
+        measure = en_measure
+    else:
+        measure = ee_measure
+    mu, nu = measure(structure, x), measure(structure, y)
     if x == y:
         raise PreconditionError("curvature requires two distinct vertices")
-    d = structure.distance(x, y)
     if d is None:
-        raise PreconditionError(
-            f"{x!r} and {y!r} lie in different connected components"
-        )
-    return _curvature_at(mu, nu, structure, d)
-
-
-def _curvature_at(mu, nu, structure, d) -> CurvatureResult:
-    """Curvature of a pair of distinct vertices already known to lie at distance d."""
+        d = structure.distance(x, y)
+        if d is None:
+            raise PreconditionError(
+                f"{x!r} and {y!r} lie in different connected components"
+            )
     dists = {}  # BFS rows on demand; the measures are loop-free, so never x's
 
     def dist(u, v):
@@ -301,14 +333,14 @@ def _curvature_at(mu, nu, structure, d) -> CurvatureResult:
 
 def orc(g: Graph, x, y) -> CurvatureResult:
     """Ollivier-Ricci curvature of a vertex pair under neighbour measures."""
-    return _curvature(neighbor_measure(g, x), neighbor_measure(g, y), g, x, y)
+    return _curvature(g, x, y, SimilarityWalk.GRAPH)
 
 
 def en_orc(h: Hypergraph, x, y) -> CurvatureResult:
     """EN-walk curvature with hyperedge-hop shortest-path distances."""
-    return _curvature(en_measure(h, x), en_measure(h, y), h, x, y)
+    return _curvature(h, x, y, SimilarityWalk.EN)
 
 
 def ee_orc(h: Hypergraph, x, y) -> CurvatureResult:
     """EE-walk curvature with hyperedge-hop shortest-path distances."""
-    return _curvature(ee_measure(h, x), ee_measure(h, y), h, x, y)
+    return _curvature(h, x, y, SimilarityWalk.EE)

@@ -551,3 +551,30 @@ class TestCurvAgainstNetworkx:
             assert row["distance"] == d
             assert row["w1"] == fraction_str(w1)
             assert row["kappa"] == fraction_str(1 - w1 / d)
+
+
+class TestWalkModeBudget:
+    def test_long_nb_walk_exits_4(self, runner, c6):
+        result = runner.invoke(main, ["neigh", c6, "--mode", "nb", "--n", "100000000"])
+        assert result.exit_code == 4
+        assert "exceeded work budget 5000000" in result.output
+
+
+class TestSimMatchesCurv:
+    """`sim --all` and `curv --all` share one curvature routine."""
+
+    @pytest.mark.parametrize("name, extra", _CURV_CASES)
+    def test_same_kappa_and_distance(self, runner, tmp_path, name, extra):
+        text = (fixtures.HYPERGRAPHS if extra else fixtures.GRAPHS)[name]
+        path = tmp_path / name
+        path.write_text(text)
+        rows = {}
+        for command in ("curv", "sim"):
+            result = runner.invoke(main, [command, str(path), "--all", *extra])
+            assert result.exit_code == 0, result.output
+            rows[command] = [
+                (r["x"], r["y"], r["distance"], r["kappa"])
+                for r in json.loads(result.output)["pairs"]
+            ]
+        assert rows["sim"] == rows["curv"]
+        assert rows["curv"]

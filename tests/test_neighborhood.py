@@ -244,3 +244,26 @@ class TestHypergraphPathOracle:
     def test_hn_matches_brute_force(self, seed, n):
         h = random_hypergraph(random.Random(seed), max_vertices=6, max_hyperedges=6)
         assert edge_set(hyper_neighborhood_graph(h, n)) == hyper_path_oracle(h, n)
+
+
+class TestWalkModeBudget:
+    """nb and walk modes charge one unit of work per state produced per step."""
+
+    # c6, n = 3: nb keeps 2 states per start at each of 3 steps (6 x 6 = 36);
+    # walk reaches 2, then 3, then 3 vertices from each of 6 starts (6 x 8 = 48).
+    @pytest.mark.parametrize(
+        "mode, cost", [(WalkMode.NON_BACKTRACKING, 36), (WalkMode.WALK, 48)]
+    )
+    def test_budget_boundary(self, mode, cost):
+        g = fixtures.graph("c6")
+        full = neighborhood_graph(g, 3, mode)
+        assert edge_set(neighborhood_graph(g, 3, mode, work_budget=cost)) == edge_set(full)
+        with pytest.raises(ResourceCapError, match="exceeded work budget"):
+            neighborhood_graph(g, 3, mode, work_budget=cost - 1)
+
+    def test_inclusion_check_charges_every_mode(self):
+        # On c6 at n = 3, path and nb modes each cost 36 and walk mode 48.
+        g = fixtures.graph("c6")
+        assert inclusion_check(g, 3, work_budget=48).holds
+        with pytest.raises(ResourceCapError):
+            inclusion_check(g, 3, work_budget=47)

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivcurv import (
+    Hypergraph,
     PreconditionError,
     SimilarityWalk,
     bounds_hold,
     cosine_similarity,
     curvature_bounds,
+    ee_orc,
+    en_orc,
     fixtures,
     orc,
     parse_graph,
@@ -170,3 +173,34 @@ class TestReports:
         assert r.fully_dissimilar == (r.distance > 2)
         if r.fully_dissimilar:
             assert r.eta == 0
+
+
+def random_connected_hypergraph(rng: random.Random, max_vertices=10):
+    """Spanning tree of 2-element hyperedges plus random hyperedges of size 2..4."""
+    n = rng.randint(2, max_vertices)
+    names = [f"v{i}" for i in range(n)]
+    hyperedges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    for _ in range(rng.randint(0, n)):
+        hyperedges.append(tuple(rng.sample(names, rng.randint(2, min(4, n)))))
+    return Hypergraph(names, hyperedges)
+
+
+class TestSharedCurvature:
+    """similarity_report computes the same curvature as orc, en_orc and ee_orc."""
+
+    @settings(max_examples=90, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from(list(SimilarityWalk)))
+    def test_report_curvature_equals_orc(self, seed, walk):
+        rng = random.Random(seed)
+        if walk is SimilarityWalk.GRAPH:
+            structure, orc_fn = random_connected_graph(rng), orc
+        else:
+            structure = random_connected_hypergraph(rng)
+            orc_fn = en_orc if walk is SimilarityWalk.EN else ee_orc
+        x, y = rng.sample(structure.vertices, 2)
+        got = similarity_report(structure, x, y, walk).curvature
+        want = orc_fn(structure, x, y)
+        assert got.kappa == want.kappa
+        assert got.w1 == want.w1
+        assert got.distance == want.distance
+        assert got.coupling.entries == want.coupling.entries

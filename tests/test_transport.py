@@ -383,3 +383,75 @@ class TestDegenerateShapes:
         w1_b, b = wasserstein1(mu, nu, h.distance)
         assert w1_a == w1_b
         assert list(a.entries.items()) == list(b.entries.items())
+
+
+def _fraction_marginals_ok(entries, mu, nu):
+    """Reference check: nonnegative entries whose Fraction sums are mu and nu."""
+    row, col = {}, {}
+    for (u, v), m in entries.items():
+        if m < 0:
+            return False
+        if m:
+            row[u] = row.get(u, 0) + Fraction(m)
+            col[v] = col.get(v, 0) + Fraction(m)
+    return row == mu.masses and col == nu.masses
+
+
+def _accepted(entries, mu, nu):
+    try:
+        Coupling(entries, mu, nu)
+    except PreconditionError:
+        return False
+    return True
+
+
+class TestCouplingMarginals:
+    """Coupling checks its marginals in scaled integers, exactly as strictly."""
+
+    def test_column_mismatch(self):
+        mu = Measure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        nu = Measure({"c": Fraction(1, 2), "d": Fraction(1, 2)})
+        entries = {("a", "c"): Fraction(1, 2), ("b", "c"): Fraction(1, 2)}
+        with pytest.raises(PreconditionError, match="marginals do not match"):
+            Coupling(entries, mu, nu)
+
+    def test_negative_entry(self):
+        mu = Measure({"a": Fraction(1)})
+        nu = Measure({"c": Fraction(1, 2), "d": Fraction(1, 2)})
+        entries = {("a", "c"): Fraction(3, 2), ("a", "d"): Fraction(-1, 2)}
+        with pytest.raises(PreconditionError, match="negative entry"):
+            Coupling(entries, mu, nu)
+
+    def test_mixed_denominators_and_ints(self):
+        mu = Measure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        nu = Measure({"c": Fraction(1, 3), "d": Fraction(2, 3)})
+        entries = {
+            ("a", "c"): Fraction(1, 6),
+            ("a", "d"): Fraction(1, 3),
+            ("b", "c"): Fraction(1, 6),
+            ("b", "d"): Fraction(1, 3),
+            ("b", "a"): 0,
+        }
+        assert Coupling(entries, mu, nu).entries == {
+            k: m for k, m in entries.items() if m
+        }
+        one = Measure({"a": 1})
+        assert Coupling({("a", "a"): 1}, one, one).entries == {("a", "a"): 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        st.integers(0, 10_000),
+    )
+    def test_same_verdict_as_fraction_sums(self, mu_weights, nu_weights, seed):
+        rng = random.Random(seed)
+        mu = Measure({f"u{i}": Fraction(w, sum(mu_weights)) for i, w in enumerate(mu_weights)})
+        nu = Measure({f"v{j}": Fraction(w, sum(nu_weights)) for j, w in enumerate(nu_weights)})
+        entries = {(u, v): mu[u] * nu[v] for u in mu.masses for v in nu.masses}
+        for _ in range(rng.randint(0, 2)):  # shift a small mass between two cells
+            a, b = rng.choice(list(entries)), rng.choice(list(entries))
+            q = Fraction(rng.randint(1, 3), rng.randint(1, 40))
+            entries[a] -= q
+            entries[b] += q
+        assert _accepted(entries, mu, nu) == _fraction_marginals_ok(entries, mu, nu)

@@ -58,12 +58,14 @@ from .similarity import (
     cosine_similarity,
     curvature_bounds,
     similarity_report,
+    similarity_reports,
 )
 from .transport import (
     Coupling,
     CurvatureResult,
     Measure,
     SimilarityWalk,
+    curvatures,
     ee_measure,
     ee_orc,
     en_measure,

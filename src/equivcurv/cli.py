@@ -51,8 +51,13 @@ from .partitions import (
     weak_regular_from_h2,
     weak_regular_from_hn,
 )
-from .similarity import CosineData, bounds_hold, similarity_report
-from .transport import SimilarityWalk, _curvature, ee_orc, en_orc, fraction_str, orc
+from .similarity import (  # similarity_report stays a name here for bench/tracing.py
+    CosineData,
+    bounds_hold,
+    similarity_report,  # noqa: F401
+    similarity_reports,
+)
+from .transport import SimilarityWalk, curvatures, ee_orc, en_orc, fraction_str, orc
 
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
@@ -184,18 +189,16 @@ def cmd_curvature(input_file, pairs, all_pairs, hyper, walk):
     structure, walk, wanted = _pairs_input(
         input_file, pairs, all_pairs, hyper, walk if hyper else "graph"
     )
-    rows = []
-    for x, y in wanted:
-        result = _curvature(structure, x, y, walk)
-        rows.append(
-            {
-                "x": x,
-                "y": y,
-                "distance": result.distance,
-                "w1": fraction_str(result.w1),
-                "kappa": fraction_str(result.kappa),
-            }
-        )
+    rows = [
+        {
+            "x": x,
+            "y": y,
+            "distance": result.distance,
+            "w1": fraction_str(result.w1),
+            "kappa": fraction_str(result.kappa),
+        }
+        for (x, y), result in zip(wanted, curvatures(structure, wanted, walk))
+    ]
     _emit_json({"pairs": rows})
 
 
@@ -328,8 +331,7 @@ def cmd_similarity(input_file, pairs, all_pairs, hyper, walk, check_bounds):
     structure, walk, wanted = _pairs_input(input_file, pairs, all_pairs, hyper, walk)
     rows = []
     violations = 0
-    for x, y in wanted:
-        report = similarity_report(structure, x, y, walk)
+    for report in similarity_reports(structure, wanted, walk):
         sigma = CosineData(report.eta, report.d_x, report.d_y)
         rows.append(_sim_row(report, sigma))
         if check_bounds and report.kappa is not None and not hyper:

@@ -8,6 +8,7 @@ depend on hash order. Structures are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ParseError, PreconditionError, ResourceCapError, UnknownVertexError
 
@@ -68,26 +69,52 @@ class Bipartition:
     parts: tuple | None  # (part0, part1) as tuples of vertex ids, or None
 
 
-def _bfs(adj, s, t=None):
-    """Dense-index BFS: dict index -> hop count from s, reachable vertices only.
+class BfsRow:
+    """Resumable dense-index BFS from one source.
 
-    Expands level by level and stops as soon as t, if given, is reached.
+    `dist` maps every index reached so far to its hop count from the source.
+    `reach` expands only as far as its targets need, and keeps the level being
+    expanded, how much of it is done and the next level found so far, so a
+    later call resumes where the last one stopped, even mid-level.
     """
-    dist = {s: 0}
-    frontier = [] if s == t else [s]
-    d = 0
-    while frontier:
-        d += 1
-        reached = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = d
-                    if y == t:
-                        return dist
-                    reached.append(y)
-        frontier = reached
-    return dist
+
+    __slots__ = ("dist", "_level", "_at", "_next", "_depth")
+
+    def __init__(self, s):
+        self.dist = {s: 0}
+        self._level = [s]  # vertices at hop count _depth
+        self._at = 0  # how many of them have been expanded
+        self._next = []  # vertices at hop count _depth + 1 found so far
+        self._depth = 0
+
+    def reach(self, adj, targets=None):
+        """Expand until every target has a hop count; return `dist`.
+
+        With targets None the whole component is expanded. Otherwise expansion
+        stops right after the vertex whose neighbours include the last missing
+        target; a target in another component leaves the component exhausted.
+        """
+        dist = self.dist
+        missing = set() if targets is None else {t for t in targets if t not in dist}
+        if targets is not None and not missing:
+            return dist
+        level, at, nxt, d = self._level, self._at, self._next, self._depth + 1
+        done = False
+        while level and not done:
+            for x in islice(level, at, None):
+                at += 1
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = d
+                        nxt.append(y)
+                        missing.discard(y)
+                if targets is not None and not missing:
+                    done = True
+                    break
+            else:  # the level is done: go on with the next one
+                level, at, nxt, d = nxt, 0, [], d + 1
+        self._level, self._at, self._next, self._depth = level, at, nxt, d - 1
+        return dist
 
 
 def _strip_comments(text):
@@ -206,11 +233,11 @@ class Graph(_Indexed):
     def distance(self, u, v):
         """BFS shortest-path distance; None when unreachable."""
         s, t = self._idx(u), self._idx(v)
-        return _bfs(self._adj, s, t).get(t)
+        return BfsRow(s).reach(self._adj, (t,)).get(t)
 
     def distances_from(self, u):
         """Dict vertex id -> BFS distance, reachable vertices only."""
-        dist = _bfs(self._adj, self._idx(u))
+        dist = BfsRow(self._idx(u)).reach(self._adj)
         return {self.vertices[i]: d for i, d in dist.items()}
 
     def connected_components(self):
@@ -219,7 +246,7 @@ class Graph(_Indexed):
         blocks = []
         for start in range(len(self.vertices)):
             if start not in seen:
-                comp = _bfs(self._adj, start)
+                comp = BfsRow(start).reach(self._adj)
                 seen.update(comp)
                 blocks.append(tuple(self.vertices[i] for i in sorted(comp)))
         return Partition(blocks)
@@ -235,7 +262,7 @@ class Graph(_Indexed):
             )
         # Connected, so bipartite iff no edge (a loop included) joins two
         # vertices of equal BFS-depth parity.
-        depth = _bfs(self._adj, 0) if self.vertices else {}
+        depth = BfsRow(0).reach(self._adj) if self.vertices else {}
         if any(depth[i] % 2 == depth[j] % 2 for i, j in self._edges):
             return Bipartition(False, None)
         parts = tuple(
@@ -339,11 +366,11 @@ class Hypergraph(_Indexed):
     def distance(self, u, v):
         """Hyperedge-hop distance, by BFS on the associated graph."""
         s, t = self._idx(u), self._idx(v)
-        return _bfs(self.associated_graph().adjacency(), s, t).get(t)
+        return BfsRow(s).reach(self.associated_graph().adjacency(), (t,)).get(t)
 
     def distances_from(self, u):
         """Dict vertex id -> hyperedge-hop distance, reachable vertices only."""
-        dist = _bfs(self.associated_graph().adjacency(), self._idx(u))
+        dist = BfsRow(self._idx(u)).reach(self.associated_graph().adjacency())
         return {self.vertices[i]: d for i, d in dist.items()}
 
     def associated_graph(self):

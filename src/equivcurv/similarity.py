@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import Graph, Hypergraph
 from .errors import PreconditionError
-from .transport import CurvatureResult, SimilarityWalk, _curvature
+from .transport import CurvatureResult, SimilarityWalk, _Batch
 
 SQRT_SCALE_BITS = 64  # rational sqrt enclosure denominator 2**64
 
@@ -48,14 +48,10 @@ def cosine_similarity(g_or_h, x, y) -> CosineData:
     return CosineData(eta=len(nx_ & ny_), d_x=dx, d_y=dy)
 
 
-def _sqrt_interval(n: int):
-    """Rational enclosure [lo, hi] of sqrt(n) with denominator 2**SQRT_SCALE_BITS."""
+def _sqrt_lower(n: int) -> Fraction:
+    """Largest multiple of 2**-SQRT_SCALE_BITS that is at most sqrt(n)."""
     scale = 1 << SQRT_SCALE_BITS
-    root = math.isqrt(n * scale * scale)
-    lo = Fraction(root, scale)
-    if root * root == n * scale * scale:
-        return lo, lo
-    return lo, Fraction(root + 1, scale)
+    return Fraction(math.isqrt(n * scale * scale), scale)
 
 
 def _lower_bound(sigma: CosineData) -> Fraction:
@@ -78,7 +74,7 @@ def curvature_bounds(sigma: CosineData, distance: int):
         upper = Fraction(1)
     else:
         # sigma <= eta / sqrt_lo, so this over-estimates the true bound.
-        sqrt_lo, _ = _sqrt_interval(sigma.d_x * sigma.d_y)
+        sqrt_lo = _sqrt_lower(sigma.d_x * sigma.d_y)
         upper = 1 - (1 - Fraction(sigma.eta) / sqrt_lo) / distance
     return lower, upper
 
@@ -112,6 +108,18 @@ class SimilarityReport:
     curvature: CurvatureResult | None = None
 
 
+def similarity_reports(g_or_h, pairs, walk: SimilarityWalk = SimilarityWalk.GRAPH):
+    """`similarity_report` of every vertex pair in `pairs`, yielded in order.
+
+    Each pair raises as a one-pair call would; the first failing pair in list
+    order raises and ends the run. The distances and curvatures come from one
+    batch of shared measures and BFS rows (see `transport.curvatures`).
+    """
+    batch = _Batch(g_or_h, pairs, walk)
+    for x, y in batch:
+        yield _report(batch, x, y)
+
+
 def similarity_report(
     g_or_h, x, y, walk: SimilarityWalk = SimilarityWalk.GRAPH
 ) -> SimilarityReport:
@@ -121,6 +129,11 @@ def similarity_report(
     are only defined for the graph walk. fully_dissimilar means the
     shortest-path distance exceeds 2 (no common neighbours).
     """
+    return next(similarity_reports(g_or_h, [(x, y)], walk))
+
+
+def _report(batch, x, y) -> SimilarityReport:
+    g_or_h, walk = batch.structure, batch.walk
     if x == y:
         raise PreconditionError("similarity report requires two distinct vertices")
     if walk is SimilarityWalk.GRAPH:
@@ -129,9 +142,9 @@ def similarity_report(
     elif not isinstance(g_or_h, Hypergraph):
         raise PreconditionError("EN/EE walks require a hypergraph input")
     sigma = cosine_similarity(g_or_h, x, y)
-    distance = g_or_h.distance(x, y)
+    distance = batch.distance(x, y)
     fully_dissimilar = distance is None or distance > 2
-    result = None if distance is None else _curvature(g_or_h, x, y, walk, distance)
+    result = None if distance is None else batch.curvature(x, y, distance)
     lower = upper = None
     if walk is SimilarityWalk.GRAPH and distance is not None:
         lower, upper = curvature_bounds(sigma, distance)

@@ -6,22 +6,30 @@ lcm of their mass denominators and running the primal-dual (Hungarian)
 method for the transportation problem on the bipartite support graph. The
 solver keeps integer duals u (sources) and v (sinks) with u_i + v_j <= c_ij
 and moves mass only along cells where equality holds, so its final duals
-certify the optimum. The coupling witness is deterministic: every scan takes
-the lowest source index first, then the lowest sink index. W1 and kappa are
-unique; the coupling is one optimal coupling among possibly many.
+certify the optimum. The coupling witness is deterministic: supports are in
+sorted vertex-id order and every scan takes the lowest source index first,
+then the lowest sink index. Every coupling's marginals are checked against
+its measures. W1 and kappa are unique; the coupling is one optimal coupling
+among possibly many.
 
-`_curvature` is the one place where a walk (`SimilarityWalk`) becomes a pair
-of measures and a curvature; `orc`, `en_orc` and `ee_orc` call it.
+`curvatures` is the one place where a walk (`SimilarityWalk`) becomes
+measures and curvatures; `orc`, `en_orc` and `ee_orc` are its one-pair
+calls, and `curv` and `sim` hand it their whole pair list. Within one call it
+builds each vertex's measure at most once and each BFS row at most once. A
+row is expanded only as far as the current pair needs (y for d(x, y), supp
+mu_y for the costs), resumed by later pairs, and dropped once no later pair
+reads it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import Graph, Hypergraph
+from .core import BfsRow, Graph, Hypergraph
 from .errors import PreconditionError
 
 
@@ -59,7 +67,7 @@ class Measure:
 
 def measures_equal(mu: Measure, nu: Measure) -> bool:
     """Exact equality of supports and masses (equivalent to W1 = 0)."""
-    return mu.masses == nu.masses
+    return mu == nu
 
 
 def _scaled(mu: Measure, scale: int):
@@ -260,32 +268,36 @@ def _augment(sink, pred_s, pred_d, flow, rem_s, rem_d):
     return amount
 
 
-def wasserstein1(mu: Measure, nu: Measure, dist):
+def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
     """Exact 1-Wasserstein distance and an optimal coupling witness.
 
     `dist` maps a vertex-id pair to a nonnegative integer distance or None
     for unreachable pairs. Supports must lie in one connected component.
+    A caller that already holds the distances passes `cost` instead: the
+    integer matrix over mu.support() x nu.support(), one row per source.
     """
     sources = mu.support()
     targets = nu.support()
-    cost = []
-    for u in sources:
-        row = []
-        for v in targets:
-            d = 0 if u == v else dist(u, v)
-            if d is None:
-                raise PreconditionError(
-                    "fully dissimilar supports span components: "
-                    f"no path between {u!r} and {v!r}"
-                )
-            row.append(d)
-        cost.append(row)
+    if cost is None:
+        cost = []
+        for u in sources:
+            row = []
+            for v in targets:
+                d = 0 if u == v else dist(u, v)
+                if d is None:
+                    raise PreconditionError(
+                        "fully dissimilar supports span components: "
+                        f"no path between {u!r} and {v!r}"
+                    )
+                row.append(d)
+            cost.append(row)
     scale = lcm(
         *[m.denominator for m in mu.masses.values()],
         *[m.denominator for m in nu.masses.values()],
     )
-    supply = [int(mu[u] * scale) for u in sources]
-    demand = [int(nu[v] * scale) for v in targets]
+    scaled_mu, scaled_nu = _scaled(mu, scale), _scaled(nu, scale)
+    supply = [scaled_mu[u] for u in sources]
+    demand = [scaled_nu[v] for v in targets]
     flow, total, _, _ = _solve_transport(supply, demand, cost)
     entries = {
         (u, v): Fraction(flow[i][j], scale)
@@ -297,38 +309,118 @@ def wasserstein1(mu: Measure, nu: Measure, dist):
     return Fraction(total, scale), coupling
 
 
-def _curvature(structure, x, y, walk, d=None) -> CurvatureResult:
-    """Curvature of the pair (x, y) under `walk`; d is their distance, if known.
-
-    Errors come in a fixed order: measure errors (x's, then y's), then
-    x == y, then x and y in different components.
-    """
+def _walk_measure(structure, v, walk) -> Measure:
+    """v's measure under `walk`; the measure functions are looked up per call."""
     if walk is SimilarityWalk.GRAPH:
-        measure = neighbor_measure
-    elif walk is SimilarityWalk.EN:
-        measure = en_measure
-    else:
-        measure = ee_measure
-    mu, nu = measure(structure, x), measure(structure, y)
-    if x == y:
-        raise PreconditionError("curvature requires two distinct vertices")
-    if d is None:
-        d = structure.distance(x, y)
+        return neighbor_measure(structure, v)
+    if walk is SimilarityWalk.EN:
+        return en_measure(structure, v)
+    return ee_measure(structure, v)
+
+
+class _Batch:
+    """Measures and BFS rows shared by the pairs of one call.
+
+    Pair (x, y) reads x's row for d(x, y) and the row of every u in supp mu_x
+    for the costs. For the graph, EN and EE walks alike supp mu_x = N(x) in
+    the (associated) graph, so the pairs that read a row are counted before
+    the first one runs, and a row is kept only while a later pair reads it.
+    Nothing here raises before a pair does: every error belongs to a pair.
+    """
+
+    def __init__(self, structure, pairs, walk):
+        self.structure = structure
+        self.pairs = list(pairs)
+        self.walk = walk
+        graph = structure
+        if isinstance(structure, Hypergraph):
+            graph = structure.associated_graph()
+        self.adj = graph.adjacency()
+        self.index = structure.index
+        self.measures = {}  # vertex id -> (measure, its support as dense indices)
+        self.rows = {}  # dense index -> BfsRow, while a later pair reads it
+        self.readers = Counter()  # dense index -> pairs left that read its row
+        for x, _ in self.pairs:
+            s = self.index.get(x)
+            if s is not None:  # an unknown x fails at its own pair
+                self.readers[s] += 1
+                self.readers.update(self.adj[s])
+
+    def __iter__(self):
+        """The pairs in order; after each, drop the rows no later pair reads."""
+        for x, y in self.pairs:
+            yield x, y
+            s = self.index[x]
+            for r in (s, *self.adj[s]):
+                self.readers[r] -= 1
+                if not self.readers[r]:
+                    self.rows.pop(r, None)
+
+    def _row(self, s):
+        row = self.rows.get(s)
+        if row is None:
+            row = BfsRow(s)
+            if self.readers[s] > 1:
+                self.rows[s] = row
+        return row
+
+    def measure(self, v):
+        """v's measure and its support as dense indices, in sorted vertex-id order."""
+        got = self.measures.get(v)
+        if got is None:
+            mu = _walk_measure(self.structure, v, self.walk)
+            got = self.measures[v] = (mu, [self.index[u] for u in mu.support()])
+        return got
+
+    def distance(self, x, y):
+        """d(x, y) for known vertices; None when they lie in different components."""
+        s, t = self.index[x], self.index[y]
+        if s not in self.rows and self.readers[s] <= 1:
+            # No later pair reads x's row, so none is kept: the structure's own
+            # query answers, and shows as a BFS span in bench/tracing.py traces.
+            return self.structure.distance(x, y)
+        return self._row(s).reach(self.adj, (t,)).get(t)
+
+    def curvature(self, x, y, d=None) -> CurvatureResult:
+        """Curvature of (x, y); d is their distance, if known.
+
+        Errors come in a fixed order: measure errors (x's, then y's), then
+        x == y, then x and y in different components.
+        """
+        (mu, sources), (nu, targets) = self.measure(x), self.measure(y)
+        if x == y:
+            raise PreconditionError("curvature requires two distinct vertices")
         if d is None:
-            raise PreconditionError(
-                f"{x!r} and {y!r} lie in different connected components"
-            )
-    dists = {}  # BFS rows on demand; the measures are loop-free, so never x's
+            d = self.distance(x, y)
+            if d is None:
+                raise PreconditionError(
+                    f"{x!r} and {y!r} lie in different connected components"
+                )
+        cost = []
+        for s in sources:
+            dist = self._row(s).reach(self.adj, targets)
+            cost.append([dist[t] for t in targets])
+        w1, coupling = wasserstein1(mu, nu, cost=cost)
+        return CurvatureResult(
+            kappa=1 - Fraction(w1, d), w1=w1, distance=d, coupling=coupling
+        )
 
-    def dist(u, v):
-        if u not in dists:
-            dists[u] = structure.distances_from(u)
-        return dists[u].get(v)
 
-    w1, coupling = wasserstein1(mu, nu, dist)
-    return CurvatureResult(
-        kappa=1 - Fraction(w1, d), w1=w1, distance=d, coupling=coupling
-    )
+def curvatures(structure, pairs, walk):
+    """Curvature of every vertex pair in `pairs` under `walk`, yielded in order.
+
+    Each pair raises as a one-pair call would, in the order of
+    `_Batch.curvature`; the first failing pair in list order raises and ends
+    the run. Measures and BFS rows are shared across the pairs.
+    """
+    batch = _Batch(structure, pairs, walk)
+    for x, y in batch:
+        yield batch.curvature(x, y)
+
+
+def _curvature(structure, x, y, walk) -> CurvatureResult:
+    """Curvature of the pair (x, y) under `walk`."""
+    return next(curvatures(structure, [(x, y)], walk))
 
 
 def orc(g: Graph, x, y) -> CurvatureResult:

@@ -11,7 +11,17 @@ from math import lcm
 
 import networkx as nx
 
-from equivcurv import Graph, Hypergraph, Partition
+from equivcurv import (
+    Graph,
+    Hypergraph,
+    Partition,
+    PreconditionError,
+    SimilarityWalk,
+    ee_measure,
+    en_measure,
+    neighbor_measure,
+    wasserstein1,
+)
 
 
 def random_connected_graph(rng: random.Random, max_vertices=10, min_vertices=2):
@@ -57,6 +67,82 @@ def random_hypergraph(rng: random.Random, max_vertices=8, max_hyperedges=10):
             other = rng.choice([w for w in names if w != v])
             hyperedges.append((v, other))
     return Hypergraph(names, hyperedges)
+
+
+def reference_curvature(structure, x, y, walk):
+    """(kappa, w1, distance, coupling entries) of one pair, nothing shared.
+
+    Written as the per-pair routine was before pairs were batched: both
+    measures, the same error order, a point-to-point distance and one full
+    `distances_from` row per source vertex.
+    """
+    measure = {
+        SimilarityWalk.GRAPH: neighbor_measure,
+        SimilarityWalk.EN: en_measure,
+        SimilarityWalk.EE: ee_measure,
+    }[walk]
+    mu, nu = measure(structure, x), measure(structure, y)
+    if x == y:
+        raise PreconditionError("curvature requires two distinct vertices")
+    d = structure.distance(x, y)
+    if d is None:
+        raise PreconditionError(f"{x!r} and {y!r} lie in different connected components")
+    rows = {u: structure.distances_from(u) for u in mu.support()}
+    w1, coupling = wasserstein1(mu, nu, lambda u, v: rows[u].get(v))
+    return 1 - w1 / d, w1, d, coupling.entries
+
+
+def random_structure(rng: random.Random, walk, max_vertices=7):
+    """Graph (graph walk) or hypergraph (EN/EE) of one to three random parts.
+
+    Parts share no vertex, so pairs across them lie in different components.
+    One input in twenty also gets a loop (a singleton hyperedge), which every
+    walk refuses.
+    """
+    parts = rng.randint(1, 3)
+    names, edges = [], []
+    for k in range(parts):
+        if walk is SimilarityWalk.GRAPH:
+            part = random_connected_graph(rng, max_vertices=max_vertices)
+            part_edges = part.edge_ids()
+        else:
+            part = random_hypergraph(rng, max_vertices=max_vertices)
+            part_edges = part.hyperedges
+        names += [f"p{k}{v}" for v in part.vertices]
+        edges += [tuple(f"p{k}{v}" for v in e) for e in part_edges]
+    if rng.random() < 0.05:
+        edges.append((rng.choice(names),))
+    if walk is SimilarityWalk.GRAPH:
+        return Graph(names, edges)
+    return Hypergraph(names, edges)
+
+
+def random_pair_list(rng: random.Random, structure, max_pairs=12):
+    """Random vertex pairs with repeats and reversals, mostly within a component.
+
+    About one pair in ten is bad: across components, the same vertex twice or
+    an unknown vertex, so that some lists fail after several good pairs.
+    """
+    graph = structure if isinstance(structure, Graph) else structure.associated_graph()
+    blocks = graph.connected_components().blocks
+    pairs = []
+    for _ in range(rng.randint(1, max_pairs)):
+        roll = rng.random()
+        if pairs and roll < 0.25:
+            x, y = rng.choice(pairs)
+            pairs.append((y, x) if roll < 0.12 else (x, y))
+        elif roll > 0.97:
+            pairs.append((rng.choice(graph.vertices), "zz"))
+        elif roll > 0.94:
+            x = rng.choice(graph.vertices)
+            pairs.append((x, x))
+        elif roll > 0.9 and len(blocks) > 1:
+            a, b = rng.sample(blocks, 2)
+            pairs.append((rng.choice(a), rng.choice(b)))
+        else:
+            block = rng.choice([b for b in blocks if len(b) > 1] or [graph.vertices])
+            pairs.append(tuple(rng.sample(block, 2)))
+    return pairs
 
 
 def random_partition(rng: random.Random, vertices):

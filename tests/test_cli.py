@@ -578,3 +578,40 @@ class TestSimMatchesCurv:
             ]
         assert rows["sim"] == rows["curv"]
         assert rows["curv"]
+
+
+_FAILING_LATER_PAIR = [
+    # (input text, extra options, a good pair, the failing pair)
+    ("1 2\n2 3\n3 4\n4 1\n", [], ("1", "2"), ("3", "3")),
+    ("1 2\n2 3\n3 4\n4 1\n", [], ("1", "2"), ("2", "zz")),
+    ("a b\nb c\nc a\nd e\n", [], ("a", "b"), ("b", "d")),
+    ("a b\nb c\nc c\n", [], ("a", "b"), ("b", "c")),
+    ("x a b\na y\nb\n", ["--hyper", "--walk", "ee"], ("x", "y"), ("a", "y")),
+]
+
+
+class TestPairListErrors:
+    """A --pair list fails exactly as its first failing pair does alone."""
+
+    @pytest.mark.parametrize("text, extra, good, bad", _FAILING_LATER_PAIR)
+    def test_later_failing_pair(self, runner, tmp_path, text, extra, good, bad):
+        path = tmp_path / ("input.hyper" if extra else "input.edges")
+        path.write_text(text)
+        alone = runner.invoke(main, ["curv", str(path), "--pair", *bad, *extra])
+        pairs = [*good, "--pair", *good[::-1], "--pair", *bad, "--pair", *good]
+        listed = runner.invoke(main, ["curv", str(path), "--pair", *pairs, *extra])
+        assert alone.exit_code == listed.exit_code == 3
+        assert listed.stdout == ""
+        assert listed.stderr == alone.stderr
+        assert len(listed.stderr.splitlines()) == 1
+        assert listed.stderr.startswith("error: ")
+
+    def test_sim_across_components_is_null(self, runner, tmp_path):
+        path = tmp_path / "two.edges"
+        path.write_text("a b\nb c\nc a\nd e\n")
+        pairs = ["--pair", "a", "b", "--pair", "b", "d", "--pair", "d", "e"]
+        result = runner.invoke(main, ["sim", str(path), *pairs])
+        assert result.exit_code == 0
+        rows = json.loads(result.stdout)["pairs"]
+        assert [r["kappa"] for r in rows] == ["1/2", None, "0"]
+        assert rows[1]["distance"] is None and rows[1]["fully_dissimilar"] is True

@@ -18,6 +18,7 @@ from equivcurv import (
     parse_hypergraph,
 )
 from equivcurv import fixtures
+from equivcurv.core import BfsRow
 
 from support import random_connected_graph
 
@@ -126,6 +127,38 @@ class TestDistances:
         for u in g.vertices:
             du = g.distances_from(u)
             assert du == lengths[u]
+
+
+class TestResumableRows:
+    """A BfsRow resumed over any sequence of target sets keeps exact hop counts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_resumed_row_matches_networkx(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=14)
+        if rng.random() < 0.5:  # a second component, never reached
+            g = Graph(g.vertices + ["u", "w"], g.edge_ids() + [("u", "w")])
+        lengths = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+        n = g.n_vertices()
+        s = rng.randrange(n)
+        want = {g.index[v]: d for v, d in lengths[g.vertices[s]].items()}
+        row = BfsRow(s)
+        for _ in range(rng.randint(1, 5)):
+            targets = rng.sample(range(n), rng.randint(1, min(3, n)))
+            dist = row.reach(g.adjacency(), targets)
+            assert all(dist[i] == want[i] for i in dist)
+            assert all(t in dist for t in targets if t in want)
+            # Only the last level reached may be partly expanded.
+            deepest = max(dist.values())
+            assert all(i in dist for i, d in want.items() if d < deepest)
+        assert row.reach(g.adjacency()) == want
+
+    def test_stops_at_the_last_target(self):
+        g = fixtures.graph("p9")
+        row = BfsRow(g.index["1"])
+        row.reach(g.adjacency(), [g.index["3"]])
+        assert len(row.dist) < g.n_vertices()
 
 
 class TestComponentsAndBipartition:

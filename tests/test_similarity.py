@@ -21,9 +21,15 @@ from equivcurv import (
     orc,
     parse_graph,
     similarity_report,
+    similarity_reports,
 )
 
-from support import random_connected_graph
+from support import (
+    random_connected_graph,
+    random_pair_list,
+    random_structure,
+    reference_curvature,
+)
 
 
 class TestCosineData:
@@ -204,3 +210,50 @@ class TestSharedCurvature:
         assert got.w1 == want.w1
         assert got.distance == want.distance
         assert got.coupling.entries == want.coupling.entries
+
+
+def _fields(report):
+    """Every field of a report, with its curvature as comparable values."""
+    c = report.curvature
+    curvature = None if c is None else (c.kappa, c.w1, c.distance, c.coupling.entries)
+    return (
+        report.x, report.y, report.eta, report.d_x, report.d_y, report.distance,
+        report.kappa, report.lower_bound, report.upper_bound,
+        report.fully_dissimilar, curvature,
+    )
+
+
+class TestBatchedReports:
+    """`similarity_reports` over a pair list equals one `similarity_report` per pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from(list(SimilarityWalk)))
+    def test_equals_per_pair_reports(self, seed, walk):
+        rng = random.Random(seed)
+        structure = random_structure(rng, walk)
+        pairs = random_pair_list(rng, structure)
+        got, want = [], []
+        try:
+            for report in similarity_reports(structure, pairs, walk):
+                got.append(_fields(report))
+        except Exception as exc:  # compared by type and message
+            got.append((type(exc), str(exc)))
+        for x, y in pairs:
+            try:
+                report = similarity_report(structure, x, y, walk)
+            except Exception as exc:
+                want.append((type(exc), str(exc)))
+                break
+            want.append(_fields(report))
+            if report.curvature is not None:
+                assert _fields(report)[-1] == reference_curvature(structure, x, y, walk)
+        assert got == want
+
+    def test_cross_component_pair_in_a_list(self):
+        g = parse_graph("a b\nb c\nc a\nd e\n")
+        pairs = [("a", "b"), ("a", "d"), ("d", "e")]
+        reports = list(similarity_reports(g, pairs))
+        assert [r.kappa for r in reports] == [
+            similarity_report(g, "a", "b").kappa, None, Fraction(0)
+        ]
+        assert reports[1].distance is None and reports[1].fully_dissimilar

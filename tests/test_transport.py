@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from equivcurv import (
     Coupling,
+    SimilarityWalk,
+    curvatures,
     Graph,
     Hypergraph,
     Measure,
@@ -34,6 +36,9 @@ from support import (
     networkx_w1,
     random_connected_graph,
     random_hypergraph,
+    random_pair_list,
+    random_structure,
+    reference_curvature,
 )
 
 
@@ -455,3 +460,79 @@ class TestCouplingMarginals:
             entries[a] -= q
             entries[b] += q
         assert _accepted(entries, mu, nu) == _fraction_marginals_ok(entries, mu, nu)
+
+
+def _outcomes(results, pairs):
+    """Per pair: (kappa, w1, distance, entries), or the exception that ends the run."""
+    out = []
+    try:
+        for _ in pairs:
+            r = next(results)
+            out.append((r.kappa, r.w1, r.distance, r.coupling.entries))
+    except Exception as exc:  # compared by type and message
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _reference_outcomes(structure, pairs, walk):
+    out = []
+    for x, y in pairs:
+        try:
+            out.append(reference_curvature(structure, x, y, walk))
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+            break
+    return out
+
+
+class TestBatchedCurvatures:
+    """`curvatures` over a pair list equals a per-pair computation sharing nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from(list(SimilarityWalk)))
+    def test_equals_per_pair_reference(self, seed, walk):
+        rng = random.Random(seed)
+        structure = random_structure(rng, walk)
+        pairs = random_pair_list(rng, structure)
+        got = _outcomes(curvatures(structure, pairs, walk), pairs)
+        assert got == _reference_outcomes(structure, pairs, walk)
+
+    def test_first_failing_pair_raises(self):
+        g = parse_graph("a b\nb c\nc a\nd e\n")
+        pairs = [("a", "b"), ("b", "a"), ("a", "d"), ("b", "b")]
+        got = _outcomes(curvatures(g, pairs, SimilarityWalk.GRAPH), pairs)
+        assert got[:2] == _reference_outcomes(g, pairs[:2], SimilarityWalk.GRAPH)
+        assert got[2:] == [
+            (PreconditionError, "'a' and 'd' lie in different connected components")
+        ]
+
+    def test_each_measure_built_once(self, monkeypatch):
+        import equivcurv.transport as transport
+
+        calls = []
+        original = transport.neighbor_measure
+
+        def counting(g, v):
+            calls.append(v)
+            return original(g, v)
+
+        monkeypatch.setattr(transport, "neighbor_measure", counting)
+        g = fixtures.graph("p9")
+        pairs = [(x, y) for x in g.vertices for y in g.vertices if x != y]
+        list(curvatures(g, pairs, SimilarityWalk.GRAPH))
+        assert sorted(calls) == sorted(g.vertices)
+
+    def test_rows_are_dropped_after_their_last_reader(self):
+        from equivcurv.transport import _Batch
+
+        g = parse_graph("a b\nb c\nc d\nd e\ne f\n")
+        pairs = [("b", "c"), ("b", "e"), ("e", "f")]
+        batch = _Batch(g, pairs, SimilarityWalk.GRAPH)
+        kept = []
+        for x, y in batch:
+            batch.curvature(x, y)
+            kept.append(sorted(g.vertices[s] for s in batch.rows))
+        # Rows of b and its neighbours a, c serve the first two pairs only;
+        # the last pair's rows are read by no later pair, so none is kept.
+        assert kept == [["a", "b", "c"], ["a", "b", "c"], []]
+        assert not batch.rows

@@ -63,9 +63,6 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 
-_WALK_MODES = {"path": WalkMode.PATH, "nb": WalkMode.NON_BACKTRACKING, "walk": WalkMode.WALK}
-
-
 def _path_cap():
     value = os.environ.get("EQUIVCURV_PATH_CAP")
     try:
@@ -124,7 +121,8 @@ def main():
 @main.command("neigh")
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", required=True, type=int, help="Neighbourhood order.")
-@click.option("--mode", default="path", type=click.Choice(sorted(_WALK_MODES)))
+@click.option("--mode", default="path",
+              type=click.Choice(sorted(m.value for m in WalkMode)))
 @click.option("--hyper", is_flag=True, help="Parse the input as a hypergraph.")
 @click.option("--check-inclusions", is_flag=True, help="Also verify the mode chain.")
 @_exit_codes
@@ -138,7 +136,7 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
         result = hyper_neighborhood_graph(structure, n, path_cap=cap)
     else:
         structure = _load_graph(input_file)
-        result = neighborhood_graph(structure, n, _WALK_MODES[mode], path_cap=cap)
+        result = neighborhood_graph(structure, n, WalkMode(mode), path_cap=cap)
     for u, v in result.graph.edge_ids():
         click.echo(f"{u} {v}")
     partition = result.graph.connected_components()

@@ -12,7 +12,7 @@ from itertools import islice
 
 from .errors import ParseError, PreconditionError, ResourceCapError, UnknownVertexError
 
-K_CYCLE_VERTEX_CAP = 64
+DEFAULT_WORK_BUDGET = 5_000_000
 
 
 class Partition:
@@ -115,6 +115,50 @@ class BfsRow:
                 level, at, nxt, d = nxt, 0, [], d + 1
         self._level, self._at, self._next, self._depth = level, at, nxt, d - 1
         return dist
+
+
+def simple_paths(steps, n, work_budget):
+    """Yield (start, taken, ends) once per simple path of n - 1 steps.
+
+    `steps[v]` lists every (edge id, next vertex) leaving v; a simple path has
+    distinct vertices and distinct edges. `taken` lists the path's (edge,
+    vertex) steps after `start`; it is reused, so read it before resuming.
+    `ends` lists each vertex above `start` that an n-th step reaches, so a
+    path of n steps is met from its lower end only. Iterative DFS with one
+    iterator per open vertex; each step taken or counted costs one unit of
+    work, and exceeding `work_budget` raises ResourceCapError.
+    """
+    over_budget = f"path enumeration exceeded work budget {work_budget}"
+    work = 0
+    for start in range(len(steps)):
+        visited = {start}
+        used = set()
+        taken = []
+        frames = [iter(steps[start])]
+        while frames:
+            if len(frames) == n:  # n - 1 steps taken: count every last step
+                last = [v for e, v in frames[-1] if v not in visited and e not in used]
+                work += len(last)
+                if work > work_budget:
+                    raise ResourceCapError(over_budget)
+                yield start, taken, [v for v in last if v > start]
+            for e, v in frames[-1]:  # exhausted right after a yield
+                if v in visited or e in used:
+                    continue
+                work += 1
+                if work > work_budget:
+                    raise ResourceCapError(over_budget)
+                visited.add(v)
+                used.add(e)
+                taken.append((e, v))
+                frames.append(iter(steps[v]))
+                break
+            else:
+                frames.pop()
+                if taken:
+                    e, v = taken.pop()
+                    visited.remove(v)
+                    used.remove(e)
 
 
 def _strip_comments(text):
@@ -271,59 +315,41 @@ class Graph(_Indexed):
         )
         return Bipartition(True, parts)
 
-    # -- small cycles --------------------------------------------------------
+    # -- paths and small cycles --------------------------------------------
 
-    def triangles(self):
+    def path_steps(self):
+        """Per vertex, every (edge id, other endpoint) step, for `simple_paths`."""
+        steps = [[] for _ in self.vertices]
+        for e, (i, j) in enumerate(self.edge_pairs()):
+            steps[i].append((e, j))
+            steps[j].append((e, i))
+        return steps
+
+    def triangles(self, work_budget=DEFAULT_WORK_BUDGET):
         """Every 3-clique exactly once, lexicographic by dense index."""
-        out = []
-        n = len(self.vertices)
-        adjsets = [set(a) for a in self._adj]
-        for i in range(n):
-            for j in self._adj[i]:
-                if j <= i:
-                    continue
-                for k in adjsets[i] & adjsets[j]:
-                    if k > j:
-                        out.append(
-                            (self.vertices[i], self.vertices[j], self.vertices[k])
-                        )
-        return out
+        return self.k_cycles(3, work_budget)
 
-    def k_cycles(self, k, max_vertices=K_CYCLE_VERTEX_CAP):
+    def k_cycles(self, k, work_budget=DEFAULT_WORK_BUDGET):
         """All simple cycles on exactly k distinct vertices, canonicalised.
 
         Each cycle is listed once up to rotation and reflection, as a tuple
         starting at its minimum-index vertex with the smaller of its two
-        neighbours second. Exhaustive DFS; refuses graphs above the vertex cap.
+        neighbours second, and the list is sorted by dense index. Every path
+        of k - 1 steps that stays above its start is closed by an edge back
+        to the start; the enumeration is charged to `work_budget` as in
+        `simple_paths`.
         """
         if k < 3:
             raise PreconditionError("k-cycles require k >= 3")
-        if len(self.vertices) > max_vertices:
-            raise ResourceCapError(
-                f"k_cycles vertex cap {max_vertices} exceeded "
-                f"({len(self.vertices)} vertices)"
-            )
-        cycles = []
-        n = len(self.vertices)
         adjsets = [set(a) for a in self._adj]
-
-        def extend(start, path, visited):
-            cur = path[-1]
-            if len(path) == k:
-                if start in adjsets[cur] and path[1] < path[-1]:
-                    cycles.append(tuple(self.vertices[i] for i in path))
-                return
-            for nxt in self._adj[cur]:
-                if nxt > start and nxt not in visited:
-                    visited.add(nxt)
-                    path.append(nxt)
-                    extend(start, path, visited)
-                    path.pop()
-                    visited.remove(nxt)
-
-        for start in range(n):
-            extend(start, [start], {start})
-        return sorted(cycles, key=lambda c: tuple(self.index[v] for v in c))
+        cycles = []
+        for start, taken, ends in simple_paths(self.path_steps(), k - 1, work_budget):
+            closing = [v for v in ends if v in adjsets[start]]
+            if closing and min(v for _, v in taken) > start:
+                path = (start, *(v for _, v in taken))
+                cycles.extend(path + (v,) for v in closing if v > path[1])
+        cycles.sort()
+        return [tuple(self.vertices[i] for i in c) for c in cycles]
 
 
 class Hypergraph(_Indexed):
@@ -351,6 +377,15 @@ class Hypergraph(_Indexed):
 
     def has_loops(self):
         return self._has_loops
+
+    def path_steps(self):
+        """Per vertex, every (hyperedge id, other member) step, for `simple_paths`."""
+        steps = [[] for _ in self.vertices]
+        for e, members in enumerate(self.hyperedges):
+            ids = [self.index[v] for v in members]
+            for i in ids:
+                steps[i].extend((e, j) for j in ids if j != i)
+        return steps
 
     def incident_hyperedges(self, v):
         """Indices of hyperedges containing v, with multiplicity."""

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 
-from .core import Graph, Hypergraph
+from .core import DEFAULT_WORK_BUDGET, Graph, Hypergraph, simple_paths
 from .errors import PreconditionError, ResourceCapError
 
 DEFAULT_PATH_CAP = 8
-DEFAULT_WORK_BUDGET = 5_000_000
 
 
 class WalkMode(enum.Enum):
@@ -46,44 +46,11 @@ def _check_path_cap(n, path_cap, override_caps):
         )
 
 
-def _path_pairs(steps, n, work_budget):
-    """Pairs (i, j), i < j, joined by a simple path of exactly n steps.
-
-    `steps[v]` lists every (edge id, next vertex) leaving v. A path has
-    distinct vertices and distinct edges. Iterative DFS with one iterator per
-    open vertex; each extension costs one unit of work, and exceeding
-    `work_budget` raises ResourceCapError.
-    """
+def _path_pairs(structure, n, work_budget):
+    """Pairs (i, j), i < j, joined by a simple path of exactly n steps."""
     pairs = set()
-    work = 0
-    for start in range(len(steps)):
-        visited = {start}
-        used = set()
-        taken = []  # (edge, vertex) per open frame above the start
-        frames = [iter(steps[start])]
-        while frames:
-            for e, v in frames[-1]:
-                if v in visited or e in used:
-                    continue
-                work += 1
-                if work > work_budget:
-                    raise ResourceCapError(
-                        f"path enumeration exceeded work budget {work_budget}"
-                    )
-                if len(frames) == n:
-                    pairs.add((start, v) if start < v else (v, start))
-                    continue
-                visited.add(v)
-                used.add(e)
-                taken.append((e, v))
-                frames.append(iter(steps[v]))
-                break
-            else:
-                frames.pop()
-                if taken:
-                    e, v = taken.pop()
-                    visited.remove(v)
-                    used.remove(e)
+    for start, _, ends in simple_paths(structure.path_steps(), n, work_budget):
+        pairs.update(zip(repeat(start), ends))
     return pairs
 
 
@@ -164,11 +131,7 @@ def neighborhood_graph(
     _check_input(g, n, "neighbourhood graphs require a loop-free input")
     if mode is WalkMode.PATH:
         _check_path_cap(n, path_cap, override_caps)
-        steps = [[] for _ in g.vertices]
-        for e, (i, j) in enumerate(g.edge_pairs()):
-            steps[i].append((e, j))
-            steps[j].append((e, i))
-        pairs = _path_pairs(steps, n, work_budget)
+        pairs = _path_pairs(g, n, work_budget)
     elif mode is WalkMode.NON_BACKTRACKING:
         pairs = _nb_edges(g, n, work_budget)
     else:
@@ -191,12 +154,7 @@ def hyper_neighborhood_graph(
     """
     _check_input(h, n, "H_n requires all hyperedges to have |e| >= 2")
     _check_path_cap(n, path_cap, override_caps)
-    steps = [[] for _ in h.vertices]
-    for e, members in enumerate(h.hyperedges):
-        ids = [h.index[v] for v in members]
-        for i in ids:
-            steps[i].extend((e, j) for j in ids if j != i)
-    return _from_pairs(h, n, WalkMode.PATH, _path_pairs(steps, n, work_budget))
+    return _from_pairs(h, n, WalkMode.PATH, _path_pairs(h, n, work_budget))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import Graph, Hypergraph, Partition
+from .core import DEFAULT_WORK_BUDGET, Graph, Hypergraph, Partition
 from .equivalence import (
     is_regular_partition,
     is_weak_regular_partition,
@@ -81,33 +81,53 @@ def _report(verify, structure, partition, method, preconditions, notes=()):
     )
 
 
+def _require(structure, disconnected=None):
+    """Refuse loops; with a message, also refuse a disconnected input."""
+    if structure.has_loops():
+        raise PreconditionError(
+            "construction requires a loop-free graph"
+            if isinstance(structure, Graph)
+            else "construction requires |e| >= 2 for all hyperedges"
+        )
+    if disconnected is not None and not structure.is_connected():
+        raise PreconditionError(disconnected)
+
+
+def _components_report(structure, base, n, method, preconditions, nbh_kwargs,
+                       two_note=False):
+    """Report the components of base's G_n (H_n) as classes of `structure`.
+
+    A graph is verified as a regular partition, a hypergraph as a weak
+    regular one. With `two_note`, two components get the maximality note.
+    """
+    if isinstance(base, Graph):
+        built = neighborhood_graph(base, n, WalkMode.PATH, **nbh_kwargs)
+        verify, notion = is_regular_partition, "regular"
+    else:
+        built = hyper_neighborhood_graph(base, n, **nbh_kwargs)
+        verify, notion = is_weak_regular_partition, "weak regular"
+    partition = built.graph.connected_components()
+    notes = []
+    if two_note and len(partition.blocks) == 2:
+        notes.append(
+            f"two components: maximal {notion} partition below the trivial one"
+        )
+    return _report(verify, structure, partition, method, preconditions, notes)
+
+
 def regular_from_g2(g: Graph, **nbh_kwargs) -> ConstructionReport:
     """Components of G_2 as regular classes of a connected loop-free graph."""
-    if g.has_loops():
-        raise PreconditionError("construction requires a loop-free graph")
-    if not g.is_connected():
-        raise PreconditionError("graph must be connected; apply per component")
-    g2 = neighborhood_graph(g, 2, WalkMode.PATH, **nbh_kwargs).graph
-    partition = g2.connected_components()
-    notes = []
-    if len(partition.blocks) == 2:
-        notes.append(
-            "two components: maximal regular partition below the trivial one"
-        )
-    preconditions = [("connected", True)]
-    return _report(
-        is_regular_partition, g, partition, "g2-components", preconditions, notes
+    _require(g, "graph must be connected; apply per component")
+    return _components_report(
+        g, g, 2, "g2-components", [("connected", True)], nbh_kwargs, two_note=True
     )
 
 
 def regular_from_gn(g: Graph, n: int, **nbh_kwargs) -> ConstructionReport:
     """Components of G_n as regular classes; sound when min degree >= 2."""
-    if g.has_loops():
-        raise PreconditionError("construction requires a loop-free graph")
-    gn = neighborhood_graph(g, n, WalkMode.PATH, **nbh_kwargs).graph
-    partition = gn.connected_components()
+    _require(g)
     preconditions = [("min-degree-2", g.min_degree() >= 2)]
-    return _report(is_regular_partition, g, partition, "gn-components", preconditions)
+    return _components_report(g, g, n, "gn-components", preconditions, nbh_kwargs)
 
 
 def structural_from_curvature(g: Graph, **nbh_kwargs) -> ConstructionReport:
@@ -116,10 +136,7 @@ def structural_from_curvature(g: Graph, **nbh_kwargs) -> ConstructionReport:
     Classes are computed as identical-neighbourhood groups and cross-checked
     for completeness inside G_2; ungrouped vertices stay singletons.
     """
-    if g.has_loops():
-        raise PreconditionError("construction requires a loop-free graph")
-    if not g.is_connected():
-        raise PreconditionError("graph must be connected; apply per component")
+    _require(g, "graph must be connected; apply per component")
     partition = structural_classes(g)
     g2 = neighborhood_graph(g, 2, WalkMode.PATH, **nbh_kwargs).graph
     for block in partition.blocks:
@@ -142,8 +159,7 @@ def regular_from_curvature_subcliques(
     Each chosen set must be complete in G_2 with pairwise curvature 1, i.e.
     all its vertices share one neighbour set in g.
     """
-    if g.has_loops():
-        raise PreconditionError("construction requires a loop-free graph")
+    _require(g)
     chosen = [tuple(sorted(c, key=g._idx)) for c in chosen]
     taken = set()
     for block in chosen:
@@ -192,18 +208,13 @@ def regular_from_triangle_removal(
 
     The removal set may delete at most one edge per triangle of g.
     """
-    if g.has_loops():
-        raise PreconditionError("construction requires a loop-free graph")
-    _validate_removal_against_cycles(g.triangles(), removal, "triangle")
+    _require(g)
+    budget = nbh_kwargs.get("work_budget", DEFAULT_WORK_BUDGET)
+    _validate_removal_against_cycles(g.triangles(budget), removal, "triangle")
     pruned = g.without_edges(removal.pairs())
-    g2 = neighborhood_graph(pruned, 2, WalkMode.PATH, **nbh_kwargs).graph
-    partition = g2.connected_components()
-    return _report(
-        is_regular_partition,
-        g,
-        partition,
-        "triangle-removal",
-        [("one-edge-per-triangle", True)],
+    return _components_report(
+        g, pruned, 2, "triangle-removal", [("one-edge-per-triangle", True)],
+        nbh_kwargs,
     )
 
 
@@ -213,67 +224,45 @@ def regular_from_kcycle_removal(
     """Components of (g - removal)_{k-1} as regular classes of the original g.
 
     Requires a connected graph with min degree >= 2, at most one removed edge
-    per k-cycle, and min degree >= 2 surviving the removal.
+    per k-cycle, and min degree >= 2 surviving the removal. Cycle enumeration
+    is charged to the same work budget as the G_{k-1} build.
     """
     if k < 3:
         raise PreconditionError("k-cycle removal requires k >= 3")
-    if g.has_loops():
-        raise PreconditionError("construction requires a loop-free graph")
-    if not g.is_connected():
-        raise PreconditionError("graph must be connected")
+    _require(g, "graph must be connected")
     if g.min_degree() < 2:
         raise PreconditionError("graph must have min degree >= 2")
-    _validate_removal_against_cycles(g.k_cycles(k), removal, f"{k}-cycle")
+    budget = nbh_kwargs.get("work_budget", DEFAULT_WORK_BUDGET)
+    _validate_removal_against_cycles(g.k_cycles(k, budget), removal, f"{k}-cycle")
     pruned = g.without_edges(removal.pairs())
     if pruned.min_degree() < 2:
         raise PreconditionError("removal creates a vertex of degree < 2")
-    gk = neighborhood_graph(pruned, k - 1, WalkMode.PATH, **nbh_kwargs).graph
-    partition = gk.connected_components()
-    return _report(
-        is_regular_partition,
-        g,
-        partition,
-        "kcycle-removal",
-        [
-            ("connected", True),
-            ("min-degree-2", True),
-            ("one-edge-per-cycle", True),
-            ("pruned-min-degree-2", True),
-        ],
+    preconditions = [
+        ("connected", True),
+        ("min-degree-2", True),
+        ("one-edge-per-cycle", True),
+        ("pruned-min-degree-2", True),
+    ]
+    return _components_report(
+        g, pruned, k - 1, "kcycle-removal", preconditions, nbh_kwargs
     )
 
 
 def weak_regular_from_h2(h: Hypergraph, **nbh_kwargs) -> ConstructionReport:
     """Components of H_2 as weak regular classes of a connected hypergraph."""
-    if h.has_loops():
-        raise PreconditionError("construction requires |e| >= 2 for all hyperedges")
-    if not h.is_connected():
-        raise PreconditionError("hypergraph must be connected; apply per component")
-    h2 = hyper_neighborhood_graph(h, 2, **nbh_kwargs).graph
-    partition = h2.connected_components()
-    notes = []
-    if len(partition.blocks) == 2:
-        notes.append(
-            "two components: maximal weak regular partition below the trivial one"
-        )
-    preconditions = [("connected", True)]
-    return _report(
-        is_weak_regular_partition, h, partition, "h2-components", preconditions, notes
+    _require(h, "hypergraph must be connected; apply per component")
+    return _components_report(
+        h, h, 2, "h2-components", [("connected", True)], nbh_kwargs, two_note=True
     )
 
 
 def weak_regular_from_hn(h: Hypergraph, n: int, **nbh_kwargs) -> ConstructionReport:
     """Components of H_n; sound when every vertex has >= 2 neighbours."""
-    if h.has_loops():
-        raise PreconditionError("construction requires |e| >= 2 for all hyperedges")
-    hn = hyper_neighborhood_graph(h, n, **nbh_kwargs).graph
-    partition = hn.connected_components()
+    _require(h)
     preconditions = [
         ("min-2-neighbours", all(len(h.neighbors(v)) >= 2 for v in h.vertices))
     ]
-    return _report(
-        is_weak_regular_partition, h, partition, "hn-components", preconditions
-    )
+    return _components_report(h, h, n, "hn-components", preconditions, nbh_kwargs)
 
 
 def enumerate_removal_sets(g: Graph, max_size: int = 3, max_vertices: int = 9):

@@ -412,6 +412,34 @@ class TestDeepPaths:
         assert json.loads(result.output)["method"] == "g2-components"
 
 
+
+class TestKCycleRemovalScale:
+    """Cycle enumeration has no vertex cap; the work budget bounds it."""
+
+    def test_ladder_of_70_vertices(self, runner, tmp_path):
+        # Two rails of 35 vertices joined by rungs: min degree 2, 34 4-cycles.
+        rails = [f"{r}{i} {r}{i + 1}\n" for r in "ab" for i in range(34)]
+        rungs = [f"a{i} b{i}\n" for i in range(35)]
+        path = tmp_path / "ladder.edges"
+        path.write_text("".join(rails + rungs))
+        args = ["partition", str(path), "--method", "kcycle-removal", "--k", "4",
+                "--remove", "a10,b10"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        data = json.loads(result.output)
+        assert data["method"] == "kcycle-removal"
+        assert data["verified"] is True
+
+    def test_budget_refusal(self, runner, tmp_path):
+        # K_{35,35} has no 9-cycle, but its paths of 8 steps overrun the budget.
+        path = tmp_path / "k35.edges"
+        path.write_text("".join(f"a{i} b{j}\n" for i in range(35) for j in range(35)))
+        result = runner.invoke(
+            main, ["partition", str(path), "--method", "kcycle-removal", "--k", "9"]
+        )
+        assert result.exit_code == 4
+        assert "path enumeration exceeded work budget 5000000" in result.output
+
 _NAMES = ["a", "b", "c", "d", "zz"]  # "zz" never occurs in an input file
 _name = st.sampled_from(_NAMES)
 # Vertex pairs, with a vertex paired with itself as a production of its own.

@@ -13,6 +13,7 @@ from equivcurv import (
     ParseError,
     Partition,
     PreconditionError,
+    ResourceCapError,
     UnknownVertexError,
     parse_graph,
     parse_hypergraph,
@@ -224,6 +225,61 @@ class TestCycles:
         g = random_connected_graph(random.Random(seed), max_vertices=8)
         simple = [c for c in nx.simple_cycles(to_networkx(g)) if len(c) == k]
         assert len(g.k_cycles(k)) == len(simple)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_triangles_sorted_and_match_networkx(self, seed):
+        rng = random.Random(seed)
+        n, p = rng.randint(3, 40), rng.uniform(0.05, 0.5)
+        names = [f"v{i}" for i in range(n)]
+        g = Graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]
+                          if rng.random() < p])
+        keys = [tuple(g.index[v] for v in t) for t in g.triangles()]
+        assert all(a < b < c for a, b, c in keys)
+        assert keys == sorted(keys)
+        expected = {frozenset(c) for c in nx.simple_cycles(to_networkx(g), length_bound=3)}
+        assert {frozenset(t) for t in g.triangles()} == expected
+        assert len(keys) == len(expected)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(3, 6))
+    def test_k_cycles_above_64_vertices_match_networkx(self, seed, k):
+        # A ring with short chords: 65-100 vertices, many cycles of length <= 6.
+        rng = random.Random(seed)
+        n = rng.randint(65, 100)
+        edges = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+        for _ in range(n // 3):
+            i = rng.randrange(n)
+            edges.append((f"v{i}", f"v{(i + rng.randint(2, 4)) % n}"))
+        g = Graph([f"v{i}" for i in range(n)], edges)
+
+        def canonical(cycle):
+            idx = [g.index[v] for v in cycle]
+            at = idx.index(min(idx))
+            idx = idx[at:] + idx[:at]
+            return tuple(idx if idx[1] < idx[-1] else idx[:1] + idx[:0:-1])
+
+        expected = sorted(
+            canonical(c)
+            for c in nx.simple_cycles(to_networkx(g), length_bound=k)
+            if len(c) == k
+        )
+        assert [tuple(g.index[v] for v in c) for c in g.k_cycles(k)] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(3, 5))
+    def test_k_cycles_budget_is_one_unit_per_directed_path(self, seed, k):
+        g = random_connected_graph(random.Random(seed), max_vertices=8)
+        nxg = to_networkx(g)
+        cost = sum(
+            len(list(nx.all_simple_paths(nxg, s, t, cutoff=k - 1)))
+            for s in nxg
+            for t in nxg
+            if s != t
+        )
+        assert g.k_cycles(k, work_budget=cost) == g.k_cycles(k)
+        with pytest.raises(ResourceCapError, match="path enumeration exceeded work budget"):
+            g.k_cycles(k, work_budget=cost - 1)
 
 
 class TestHypergraph:

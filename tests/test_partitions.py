@@ -287,3 +287,107 @@ class TestHypergraphConstructions:
         h = random_hypergraph(random.Random(seed))
         report = weak_regular_from_hn(h, n)
         assert report.verified == is_weak_regular_partition(h, report.partition).verdict
+
+
+# Every construction, called on a structure with the arguments it needs.
+GRAPH_CONSTRUCTIONS = {
+    "g2": regular_from_g2,
+    "gn": lambda g: regular_from_gn(g, 2),
+    "structural": structural_from_curvature,
+    "subcliques": lambda g: regular_from_curvature_subcliques(g, [["a"]]),
+    "triangle-removal": lambda g: regular_from_triangle_removal(g, RemovalSet.of([])),
+    "kcycle-removal": lambda g: regular_from_kcycle_removal(g, 3, RemovalSet.of([])),
+}
+HYPERGRAPH_CONSTRUCTIONS = {
+    "h2": weak_regular_from_h2,
+    "hn": lambda h: weak_regular_from_hn(h, 2),
+}
+
+
+def refusal(construct, structure):
+    with pytest.raises(PreconditionError) as info:
+        construct(structure)
+    return str(info.value)
+
+
+class TestRefusalMessages:
+    """The exact message, and which check fires first, for each construction."""
+
+    @pytest.mark.parametrize("method", GRAPH_CONSTRUCTIONS)
+    def test_graph_loops_refused_before_connectivity(self, method):
+        g = parse_graph("a\na b\nc d\n")  # a loop and two components
+        assert refusal(GRAPH_CONSTRUCTIONS[method], g) == (
+            "construction requires a loop-free graph"
+        )
+
+    @pytest.mark.parametrize("method", HYPERGRAPH_CONSTRUCTIONS)
+    def test_hypergraph_loops_refused_before_connectivity(self, method):
+        h = parse_hypergraph("a\nb c\n")
+        assert refusal(HYPERGRAPH_CONSTRUCTIONS[method], h) == (
+            "construction requires |e| >= 2 for all hyperedges"
+        )
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ("g2", "graph must be connected; apply per component"),
+            ("structural", "graph must be connected; apply per component"),
+            ("kcycle-removal", "graph must be connected"),
+        ],
+    )
+    def test_graph_disconnected_refused(self, method, message):
+        g = parse_graph("a b\nb c\nc a\nd e\ne f\nf d\n")  # two triangles
+        assert refusal(GRAPH_CONSTRUCTIONS[method], g) == message
+
+    def test_hypergraph_disconnected_refused(self):
+        h = parse_hypergraph("a b\nb c\nd e\n")
+        assert refusal(weak_regular_from_h2, h) == (
+            "hypergraph must be connected; apply per component"
+        )
+
+    @pytest.mark.parametrize("method", ["gn", "subcliques", "triangle-removal"])
+    def test_graph_disconnected_accepted(self, method):
+        g = parse_graph("a b\nb c\nc a\nd e\ne f\nf d\n")
+        assert len(GRAPH_CONSTRUCTIONS[method](g).partition.blocks) >= 2
+
+    def test_hn_disconnected_accepted(self):
+        h = parse_hypergraph("a b c\nd e f\n")
+        assert len(weak_regular_from_hn(h, 1).partition.blocks) == 2
+
+    def test_kcycle_min_degree_after_connectivity(self):
+        kcycle = GRAPH_CONSTRUCTIONS["kcycle-removal"]
+        assert refusal(kcycle, parse_graph("a b\nb c\nc a\nc d\n")) == (
+            "graph must have min degree >= 2"
+        )
+        assert refusal(kcycle, parse_graph("a b\nb c\nc a\nc d\ne f\n")) == (
+            "graph must be connected"
+        )
+
+    def test_kcycle_k_checked_before_loops(self):
+        g = parse_graph("a\na b\nc d\n")
+        with pytest.raises(PreconditionError) as info:
+            regular_from_kcycle_removal(g, 2, RemovalSet.of([]))
+        assert str(info.value) == "k-cycle removal requires k >= 3"
+
+    def test_kcycle_cycles_checked_before_pruned_degree(self):
+        g = parse_graph("a b\nb c\nc d\nd a\n")
+        removal = RemovalSet.of([("a", "b"), ("c", "d")])
+        with pytest.raises(PreconditionError) as info:
+            regular_from_kcycle_removal(g, 4, removal)
+        assert str(info.value) == (
+            "removal set hits 4-cycle ('a', 'b', 'c', 'd') more than once"
+        )
+        with pytest.raises(PreconditionError) as info:
+            regular_from_kcycle_removal(g, 4, RemovalSet.of([("a", "b")]))
+        assert str(info.value) == "removal creates a vertex of degree < 2"
+
+    def test_triangle_refusal_names_the_first_triangle(self):
+        # K4: the removal hits triangles (a, b, c) and (a, b, d); the first
+        # in dense-index order is named.
+        g = parse_graph("a b\na c\na d\nb c\nb d\nc d\n")
+        removal = RemovalSet.of([("a", "b"), ("b", "c"), ("b", "d")])
+        with pytest.raises(PreconditionError) as info:
+            regular_from_triangle_removal(g, removal)
+        assert str(info.value) == (
+            "removal set hits triangle ('a', 'b', 'c') more than once"
+        )

@@ -137,11 +137,10 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
     else:
         structure = _load_graph(input_file)
         result = neighborhood_graph(structure, n, WalkMode(mode), path_cap=cap)
-    for u, v in result.graph.edge_ids():
-        click.echo(f"{u} {v}")
-    partition = result.graph.connected_components()
-    for block in partition.blocks:
-        click.echo("block " + " ".join(block))
+    lines = [f"{u} {v}\n" for u, v in result.graph.edge_ids()]
+    blocks = result.graph.connected_components().blocks
+    lines += [f"block {' '.join(block)}\n" for block in blocks]
+    click.echo("".join(lines), nl=False)  # one write, not one per line
     if check_inclusions and not hyper:
         report = inclusion_check(structure, n, path_cap=cap)
         click.echo(f"inclusions {'ok' if report.holds else 'VIOLATED'}")
@@ -249,12 +248,12 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
                 raise click.UsageError("--n is required for method gn")
             report = regular_from_gn(g, n, **kwargs)
         elif method == "structural":
-            report = structural_from_curvature(g, **kwargs)
+            report = structural_from_curvature(g)
         elif method == "subcliques":
             if not chosen:
                 raise click.UsageError("--block is required for method subcliques")
             sets = [c.split(",") for c in chosen]
-            report = regular_from_curvature_subcliques(g, sets, **kwargs)
+            report = regular_from_curvature_subcliques(g, sets)
         elif method == "triangle-removal":
             removal = RemovalSet.of(_parse_edge_options(removed))
             report = regular_from_triangle_removal(g, removal, **kwargs)

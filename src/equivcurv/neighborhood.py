@@ -2,8 +2,11 @@
 
 Three graph variants are supported: simple paths of length exactly n,
 non-backtracking walks of length exactly n, and unrestricted walks of length
-exactly n. Hypergraphs get the path variant over hyperedge paths. All outputs
-are loop-free: a closed length-n walk never produces a self-edge.
+exactly n. Hypergraphs get the path variant over hyperedge paths. Both walk
+variants are exact-length reachability over a successor table: the vertex
+adjacency for walks; for non-backtracking walks, the oriented edges, each
+followed by those leaving its head except its reverse. All outputs are
+loop-free: a closed length-n walk never produces a self-edge.
 """
 
 from __future__ import annotations
@@ -54,57 +57,53 @@ def _path_pairs(structure, n, work_budget):
     return pairs
 
 
-def _charge(work, work_budget):
-    """Return work; raise ResourceCapError once it exceeds the budget."""
-    if work > work_budget:
-        raise ResourceCapError(f"walk enumeration exceeded work budget {work_budget}")
-    return work
+def _walk_pairs(first, succ, head, n, work_budget):
+    """Pairs (i, j), i < j, joined by a walk of exactly n steps over states.
 
-
-def _nb_edges(g, n, work_budget):
-    """Pairs joined by a non-backtracking walk of length exactly n.
-
-    Reachability in exactly n steps on the directed state graph of oriented
-    edges, forbidding immediate reversal. Each state produced at each step
-    costs one unit of work.
+    `first[i]` lists the states one step from vertex i, `succ[s]` the states
+    one step after state s, and `head[s]` the vertex state s stands at. The
+    states of a step form a set; each costs one unit of work, at every step
+    from every start, and exceeding `work_budget` raises ResourceCapError. A
+    reversed walk is a walk too, so each pair is collected from its lower end.
     """
-    adj = g.adjacency()
+    over_budget = f"walk enumeration exceeded work budget {work_budget}"
     pairs = set()
     work = 0
-    for start in range(g.n_vertices()):
-        states = {(start, nxt) for nxt in adj[start]}  # after one step
-        work = _charge(work + len(states), work_budget)
+    for start, states in enumerate(first):
+        states = set(states)
+        work += len(states)
+        if work > work_budget:
+            raise ResourceCapError(over_budget)
         for _ in range(n - 1):
-            states = {
-                (cur, nxt)
-                for prev, cur in states
-                for nxt in adj[cur]
-                if nxt != prev
-            }
-            work = _charge(work + len(states), work_budget)
-        for _, end in states:
-            if end != start:
-                pairs.add((min(start, end), max(start, end)))
+            states = set().union(*map(succ.__getitem__, states))
+            work += len(states)
+            if work > work_budget:
+                raise ResourceCapError(over_budget)
+        ends = {head[s] for s in states}
+        pairs.update(zip(repeat(start), [v for v in ends if v > start]))
     return pairs
 
 
-def _walk_edges(g, n, work_budget):
-    """Pairs joined by any walk of length exactly n (boolean relation power).
+def _nb_table(adj, work_budget):
+    """(first, succ, head) of the non-backtracking walk over darts.
 
-    Each (start, end) state produced at each step costs one unit of work.
+    A dart is an oriented edge; a dart's successors leave its head, except
+    its own reverse. The table has sum deg(v)(deg(v) - 1) entries, exactly
+    the work of the second step summed over all starts, so for n >= 2 a
+    table larger than the budget is refused before it is built.
     """
-    adj = [set(a) for a in g.adjacency()]
-    reach = adj
-    work = _charge(sum(map(len, reach)), work_budget)
-    for _ in range(n - 1):
-        reach = [set().union(*(adj[w] for w in r)) if r else set() for r in reach]
-        work = _charge(work + sum(map(len, reach)), work_budget)
-    pairs = set()
-    for u, r in enumerate(reach):
-        for v in r:
-            if v != u:
-                pairs.add((min(u, v), max(u, v)))
-    return pairs
+    if sum(len(a) * (len(a) - 1) for a in adj) > work_budget:
+        raise ResourceCapError(f"walk enumeration exceeded work budget {work_budget}")
+    leaving, head = [], []
+    for nbrs in adj:
+        leaving.append(list(range(len(head), len(head) + len(nbrs))))
+        head.extend(nbrs)
+    succ = [
+        [e for e in leaving[head[d]] if head[e] != u]
+        for u, darts in enumerate(leaving)
+        for d in darts
+    ]
+    return leaving, succ, head
 
 
 def _from_pairs(base, n, mode, pairs):
@@ -132,10 +131,13 @@ def neighborhood_graph(
     if mode is WalkMode.PATH:
         _check_path_cap(n, path_cap, override_caps)
         pairs = _path_pairs(g, n, work_budget)
-    elif mode is WalkMode.NON_BACKTRACKING:
-        pairs = _nb_edges(g, n, work_budget)
+    elif mode is WalkMode.WALK or n == 1:  # one step never backtracks
+        adj = g.adjacency()
+        succ = [set(a) for a in adj]  # set unions merge sets fastest
+        pairs = _walk_pairs(adj, succ, range(len(adj)), n, work_budget)
     else:
-        pairs = _walk_edges(g, n, work_budget)
+        table = _nb_table(g.adjacency(), work_budget)
+        pairs = _walk_pairs(*table, n, work_budget)
     return _from_pairs(g, n, mode, pairs)
 
 

@@ -4,7 +4,9 @@ Each construction emits a ConstructionReport carrying the component partition,
 the named preconditions it checked, and a post-hoc verification verdict. When
 a precondition fails but the input is still processable, the construction
 emits the partition anyway and lets the verdict speak (the degree conditions
-are sufficient, not necessary).
+are sufficient, not necessary). The structural and curvature-subclique
+constructions decide from neighbour sets alone and build no neighbourhood
+graph.
 """
 
 from __future__ import annotations
@@ -130,34 +132,29 @@ def regular_from_gn(g: Graph, n: int, **nbh_kwargs) -> ConstructionReport:
     return _components_report(g, g, n, "gn-components", preconditions, nbh_kwargs)
 
 
-def structural_from_curvature(g: Graph, **nbh_kwargs) -> ConstructionReport:
+def structural_from_curvature(g: Graph) -> ConstructionReport:
     """Structural classes as maximal curvature-1 complete subgraphs of G_2.
 
-    Classes are computed as identical-neighbourhood groups and cross-checked
-    for completeness inside G_2; ungrouped vertices stay singletons.
+    Classes are identical-neighbourhood groups; ungrouped vertices stay
+    singletons. No G_2 is built: in a connected loop-free graph, two distinct
+    vertices with one neighbour set share a neighbour w distinct from both,
+    so a-w-b is a simple 2-step path and every class is complete in G_2.
     """
     _require(g, "graph must be connected; apply per component")
     partition = structural_classes(g)
-    g2 = neighborhood_graph(g, 2, WalkMode.PATH, **nbh_kwargs).graph
-    for block in partition.blocks:
-        for a, b in combinations(block, 2):
-            if not g2.has_edge(a, b):
-                raise PreconditionError(
-                    f"structural class {block!r} is not complete in G_2"
-                )
     preconditions = [("connected", True)]
     return _report(
         is_regular_partition, g, partition, "curvature-structural", preconditions
     )
 
 
-def regular_from_curvature_subcliques(
-    g: Graph, chosen, **nbh_kwargs
-) -> ConstructionReport:
+def regular_from_curvature_subcliques(g: Graph, chosen) -> ConstructionReport:
     """Chosen curvature-1 sub-cliques of G_2 as blocks, rest singletons.
 
     Each chosen set must be complete in G_2 with pairwise curvature 1, i.e.
-    all its vertices share one neighbour set in g.
+    all its vertices share one neighbour set in g. In a loop-free graph, two
+    distinct vertices with one neighbour set are joined in G_2 exactly when
+    that set is not empty, so no G_2 is built.
     """
     _require(g)
     chosen = [tuple(sorted(c, key=g._idx)) for c in chosen]
@@ -167,14 +164,13 @@ def regular_from_curvature_subcliques(
             if v in taken:
                 raise PreconditionError(f"vertex {v!r} appears in two chosen sets")
             taken.add(v)
-    g2 = neighborhood_graph(g, 2, WalkMode.PATH, **nbh_kwargs).graph
     for block in chosen:
         for a, b in combinations(block, 2):
             if g.neighbors(a) != g.neighbors(b):
                 raise PreconditionError(
                     f"pair ({a!r}, {b!r}) does not have curvature 1"
                 )
-            if not g2.has_edge(a, b):
+            if not g.degree(a):
                 raise PreconditionError(
                     f"pair ({a!r}, {b!r}) is not an edge of G_2"
                 )

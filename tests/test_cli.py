@@ -643,3 +643,40 @@ class TestPairListErrors:
         rows = json.loads(result.stdout)["pairs"]
         assert [r["kappa"] for r in rows] == ["1/2", None, "0"]
         assert rows[1]["distance"] is None and rows[1]["fully_dissimilar"] is True
+
+
+@pytest.fixture
+def star3200(tmp_path):
+    path = tmp_path / "star3200.edges"
+    path.write_text("".join(f"c l{i}\n" for i in range(1, 3201)))
+    return str(path)
+
+
+class TestNeighbourSetConstructions:
+    """structural and subcliques decide from neighbour sets, building no G_2,
+    so a star whose G_2 exceeds the work budget still gets an answer."""
+
+    def test_structural_on_large_star(self, runner, star3200):
+        result = runner.invoke(main, ["partition", star3200, "--method", "structural"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["verified"] is True
+        assert report["blocks"][0] == ["c"]
+        assert len(report["blocks"][1]) == 3200
+
+    def test_subcliques_on_large_star(self, runner, star3200):
+        result = runner.invoke(
+            main, ["partition", star3200, "--method", "subcliques", "--block", "l1,l2"]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["verified"] is True
+        assert report["blocks"][1] == ["l1", "l2"]
+        assert len(report["blocks"]) == 3200
+
+    def test_neigh_output_is_whole_lines(self, runner, c6):
+        result = runner.invoke(main, ["neigh", c6, "--n", "2", "--check-inclusions"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "1 3\n1 5\n2 4\n2 6\n3 5\n4 6\nblock 1 3 5\nblock 2 4 6\ninclusions ok\n"
+        )

@@ -267,3 +267,64 @@ class TestWalkModeBudget:
         assert inclusion_check(g, 3, work_budget=48).holds
         with pytest.raises(ResourceCapError):
             inclusion_check(g, 3, work_budget=47)
+
+
+def walk_sequences(g, n, backtrack):
+    """Every vertex sequence of n steps along edges, from every start;
+    without `backtrack`, no step returns to the vertex just left."""
+    adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
+    seqs = [(v,) for v in g.vertices]
+    levels = []
+    for _ in range(n):
+        seqs = [
+            s + (w,)
+            for s in seqs
+            for w in adj[s[-1]]
+            if backtrack or len(s) < 2 or w != s[-2]
+        ]
+        levels.append(seqs)
+    return levels
+
+
+def nb_oracle(g, n):
+    """Edge set of G_n^NB by brute force over non-backtracking sequences."""
+    return {
+        frozenset((s[0], s[-1]))
+        for s in walk_sequences(g, n, backtrack=False)[-1]
+        if s[0] != s[-1]
+    }
+
+
+def state_count(g, n, mode):
+    """Sum over starts and steps of the distinct states reached: the last
+    vertex of a walk, or the last (vertex, vertex) step of an nb walk."""
+    backtrack = mode is WalkMode.WALK
+    total = 0
+    for seqs in walk_sequences(g, n, backtrack):
+        states = {(s[0], s[-1]) if backtrack else s[:1] + s[-2:] for s in seqs}
+        total += len(states)
+    return total
+
+
+class TestWalkOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    def test_nb_matches_brute_force(self, seed, n):
+        g = random_connected_graph(random.Random(seed), max_vertices=8)
+        got = edge_set(neighborhood_graph(g, n, WalkMode.NON_BACKTRACKING))
+        assert got == nb_oracle(g, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 4),
+        st.sampled_from([WalkMode.NON_BACKTRACKING, WalkMode.WALK]),
+    )
+    def test_work_budget_is_the_state_count(self, seed, n, mode):
+        g = random_connected_graph(random.Random(seed), max_vertices=8)
+        cost = state_count(g, n, mode)
+        full = edge_set(neighborhood_graph(g, n, mode))
+        assert edge_set(neighborhood_graph(g, n, mode, work_budget=cost)) == full
+        message = "walk enumeration exceeded work budget"
+        with pytest.raises(ResourceCapError, match=message):
+            neighborhood_graph(g, n, mode, work_budget=cost - 1)

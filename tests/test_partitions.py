@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivcurv import (
+    Graph,
     Partition,
     PreconditionError,
     RemovalSet,
@@ -14,6 +15,7 @@ from equivcurv import (
     fixtures,
     is_regular_partition,
     is_weak_regular_partition,
+    neighborhood_graph,
     parse_graph,
     parse_hypergraph,
     regular_from_curvature_subcliques,
@@ -21,6 +23,7 @@ from equivcurv import (
     regular_from_gn,
     regular_from_kcycle_removal,
     regular_from_triangle_removal,
+    structural_classes,
     structural_from_curvature,
     weak_regular_from_h2,
     weak_regular_from_hn,
@@ -137,6 +140,26 @@ class TestCurvatureConstructions:
         report = structural_from_curvature(g)
         assert report.verified
         assert is_regular_partition(g, report.partition).verdict
+
+
+class TestNeighbourSetsDecideG2:
+    """What the removed G_2 builds of structural and subcliques asserted."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_structural_classes_are_cliques_of_g2(self, seed):
+        g = random_connected_graph(random.Random(seed))
+        g2 = neighborhood_graph(g, 2).graph
+        for block in structural_classes(g).blocks:
+            for i, a in enumerate(block):
+                for b in block[i + 1 :]:
+                    assert g2.has_edge(a, b), (block, a, b)
+
+    def test_subcliques_of_isolated_vertices_are_not_g2_edges(self):
+        g = Graph(["a", "b", "c", "d"], [("c", "d")])
+        with pytest.raises(PreconditionError) as exc:
+            regular_from_curvature_subcliques(g, [("a", "b")])
+        assert str(exc.value) == "pair ('a', 'b') is not an edge of G_2"
 
 
 class TestTriangleRemoval:

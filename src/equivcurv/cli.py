@@ -132,6 +132,8 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
     if hyper:
         if mode != "path":
             raise PreconditionError("hypergraph neighbourhoods support path mode only")
+        if check_inclusions:
+            raise PreconditionError("inclusion checks apply to graphs only")
         structure = _load_hypergraph(input_file)
         result = hyper_neighborhood_graph(structure, n, path_cap=cap)
     else:
@@ -141,7 +143,7 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
     blocks = result.graph.connected_components().blocks
     lines += [f"block {' '.join(block)}\n" for block in blocks]
     click.echo("".join(lines), nl=False)  # one write, not one per line
-    if check_inclusions and not hyper:
+    if check_inclusions:
         report = inclusion_check(structure, n, path_cap=cap)
         click.echo(f"inclusions {'ok' if report.holds else 'VIOLATED'}")
         if not report.holds:

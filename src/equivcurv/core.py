@@ -8,7 +8,7 @@ depend on hash order. Structures are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 
 from .errors import ParseError, PreconditionError, ResourceCapError, UnknownVertexError
 
@@ -199,37 +199,54 @@ class Graph(_Indexed):
 
     def __init__(self, vertices, edges):
         super().__init__(vertices)
-        edge_idx = set()
-        self._has_loops = False
+        pairs = set()
         for e in edges:
             e = tuple(e)
             ids = sorted({self._idx(v) for v in e})
-            if len(ids) == 1:
-                edge_idx.add((ids[0], ids[0]))
-                self._has_loops = True
-            elif len(ids) == 2:
-                edge_idx.add((ids[0], ids[1]))
-            else:
+            if not 1 <= len(ids) <= 2:
                 raise PreconditionError(f"edge {e!r} has more than two endpoints")
-        self._edges = frozenset(edge_idx)
+            pairs.add((ids[0], ids[-1]))
+        self._link(sorted(pairs))
+
+    @classmethod
+    def _from_dense(cls, base, pairs):
+        """Graph on `base`'s vertex list and index from sorted (i, j) pairs.
+
+        `pairs` are distinct dense indices of `base` with i <= j, in sorted
+        order; (i, i) is a loop. No id is looked up and nothing is re-sorted.
+        """
+        g = cls.__new__(cls)
+        g.vertices, g.index = base.vertices, base.index
+        g._link(pairs)
+        return g
+
+    def _link(self, pairs):
+        """Set the edges and adjacency from sorted, distinct (i, j), i <= j.
+
+        Every (h, v) with h < v sorts before every (v, j) with j >= v, so
+        each adjacency list comes out sorted.
+        """
+        self._pairs = tuple(pairs)
+        self._edges = frozenset(self._pairs)
         adj = [[] for _ in self.vertices]
-        for i, j in sorted(self._edges):
+        self._has_loops = False
+        for i, j in self._pairs:
+            adj[i].append(j)
             if i == j:
-                adj[i].append(i)
+                self._has_loops = True
             else:
-                adj[i].append(j)
                 adj[j].append(i)
-        self._adj = [sorted(a) for a in adj]
+        self._adj = adj
 
     # -- edges --------------------------------------------------------------
 
     def edge_pairs(self):
         """Edges as sorted (i, j) dense-index pairs; loops as (i, i)."""
-        return sorted(self._edges)
+        return list(self._pairs)
 
     def edge_ids(self):
         """Edges as sorted pairs of vertex ids (loops as (v, v))."""
-        return [(self.vertices[i], self.vertices[j]) for i, j in self.edge_pairs()]
+        return [(self.vertices[i], self.vertices[j]) for i, j in self._pairs]
 
     def has_edge(self, u, v):
         i, j = self._idx(u), self._idx(v)
@@ -250,12 +267,7 @@ class Graph(_Indexed):
             if key not in self._edges:
                 raise PreconditionError(f"edge ({u!r}, {v!r}) not present in graph")
             removed_idx.add(key)
-        kept = [
-            (self.vertices[i], self.vertices[j])
-            for i, j in self._edges
-            if (i, j) not in removed_idx
-        ]
-        return Graph(self.vertices, kept)
+        return Graph._from_dense(self, sorted(self._edges - removed_idx))
 
     # -- local structure ----------------------------------------------------
 
@@ -320,7 +332,7 @@ class Graph(_Indexed):
     def path_steps(self):
         """Per vertex, every (edge id, other endpoint) step, for `simple_paths`."""
         steps = [[] for _ in self.vertices]
-        for e, (i, j) in enumerate(self.edge_pairs()):
+        for e, (i, j) in enumerate(self._pairs):
             steps[i].append((e, j))
             steps[j].append((e, i))
         return steps
@@ -415,13 +427,14 @@ class Hypergraph(_Indexed):
         first use and kept, so parsing does not pay for it.
         """
         if self._graph is None:
-            edges = []
+            pairs = set()
             for e in self.hyperedges:
-                if len(e) == 1:
-                    edges.append((e[0],))
+                ids = sorted(map(self.index.__getitem__, e))
+                if len(ids) == 1:
+                    pairs.add((ids[0], ids[0]))
                 else:
-                    edges.extend((a, b) for i, a in enumerate(e) for b in e[i + 1 :])
-            self._graph = Graph(self.vertices, edges)
+                    pairs.update(combinations(ids, 2))
+            self._graph = Graph._from_dense(self, sorted(pairs))
         return self._graph
 
     def is_connected(self):

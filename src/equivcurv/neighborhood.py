@@ -2,11 +2,14 @@
 
 Three graph variants are supported: simple paths of length exactly n,
 non-backtracking walks of length exactly n, and unrestricted walks of length
-exactly n. Hypergraphs get the path variant over hyperedge paths. Both walk
-variants are exact-length reachability over a successor table: the vertex
-adjacency for walks; for non-backtracking walks, the oriented edges, each
-followed by those leaving its head except its reverse. All outputs are
-loop-free: a closed length-n walk never produces a self-edge.
+exactly n. Hypergraphs get the path variant over hyperedge paths. For n <= 3
+the paths meet in the middle, in polynomial time; for n >= 4 the exponential
+DFS `simple_paths` enumerates them. Either way the work charged is the DFS's.
+Both walk variants are exact-length reachability over a successor table: the
+vertex adjacency for walks; for non-backtracking walks, the oriented edges,
+each followed by those leaving its head except its reverse. All outputs are
+loop-free: a closed length-n walk never produces a self-edge. Each output is
+built on its base's dense vertex index.
 """
 
 from __future__ import annotations
@@ -50,15 +53,113 @@ def _check_path_cap(n, path_cap, override_caps):
 
 
 def _path_pairs(structure, n, work_budget):
-    """Pairs (i, j), i < j, joined by a simple path of exactly n steps."""
+    """Sorted pairs (i, j), i < j, joined by a simple path of exactly n steps.
+
+    n <= 3 meets in the middle; longer paths are enumerated by the DFS.
+    """
+    steps = structure.path_steps()
+    if n <= 3:
+        return _short_path_pairs(steps, n, work_budget)
     pairs = set()
-    for start, _, ends in simple_paths(structure.path_steps(), n, work_budget):
+    for start, _, ends in simple_paths(steps, n, work_budget):
         pairs.update(zip(repeat(start), ends))
+    return sorted(pairs)
+
+
+def _repeats(groups):
+    return sum(len(g) * (len(g) - 1) for g in groups)
+
+
+def _short_path_pairs(steps, n, work_budget):
+    """`_path_pairs` for n <= 3 over `simple_paths` steps, in polynomial time.
+
+    A step is an (edge id, vertex) pair; a graph is the case where every edge
+    has two members. n = 2 joins the targets u != v of each middle vertex w,
+    unless both reach w through one and the same single edge. n = 3 joins,
+    over each middle step (a, e, b) with a < b, the targets u != b of a to
+    the targets v != a of b, through edges other than e, with u != v, unless
+    u's edges and v's edges are one and the same single edge.
+
+    Each middle is charged, before its pairs are emitted, exactly the units
+    the DFS spends on the paths through it: one per second step taken and
+    one per last step counted, by inclusion-exclusion over repeated vertices
+    and edges. With the first steps this is the DFS's total, so the same
+    inputs are refused with the same message.
+    """
+    over_budget = f"path enumeration exceeded work budget {work_budget}"
+    work = sum(map(len, steps))
+    if work > work_budget:
+        raise ResourceCapError(over_budget)
+    # reach[w][v]: the edges of w's steps to v; via[w][e]: the targets through e
+    reach, via = [], []
+    for row in steps:
+        r, t = {}, {}
+        for e, v in row:
+            r.setdefault(v, []).append(e)
+            t.setdefault(e, []).append(v)
+        reach.append(r)
+        via.append(t)
+    near = [set() for _ in steps]  # symmetric; self-pairs dropped at the end
+    if n == 1:
+        for u, r in enumerate(reach):
+            near[u].update(r)
+    elif n == 2:
+        for w, r in enumerate(reach):
+            k = len(steps[w])
+            work += k * (k - 1) - _repeats(r.values()) - _repeats(via[w].values())
+            if work > work_budget:
+                raise ResourceCapError(over_budget)
+            lone = {}  # target -> the targets that reach w by its one edge only
+            for vs in via[w].values():
+                if len(vs) > 1:
+                    group = {v for v in vs if len(r[v]) == 1}
+                    lone.update(dict.fromkeys(group, group))
+            for u in r:
+                near[u].update(r.keys() - lone[u] if u in lone else r)
+    else:
+        for a, ra in enumerate(reach):
+            va = via[a]
+            for e, b in steps[a]:
+                if b < a:
+                    continue
+                rb, vb = reach[b], via[b]
+                inside = va[e]  # e's members other than a; x in e iff x in inside
+                n_u = len(steps[a]) - len(inside) - len(ra[b]) + 1  # steps in U
+                n_v = len(steps[b]) - len(inside) - len(rb[a]) + 1  # steps in V
+                # other edges holding a and b: the only edges both sides share
+                parallel = [f for f in ra[b] if f != e]
+                # step pairs meeting at one vertex or sharing an edge, each once
+                clash = sum(
+                    (len(ra[x]) - (x in inside)) * (len(rb[x]) - (x in inside))
+                    for x in ra.keys() & rb.keys()
+                ) + sum((len(va[f]) - 1) * (len(va[f]) - 2) for f in parallel)
+                work += n_u + n_v + 2 * (n_u * n_v - clash)
+                if work > work_budget:
+                    raise ResourceCapError(over_budget)
+                us = ra.keys() - {x for x in inside if len(ra[x]) == 1}
+                us.discard(b)
+                vs = rb.keys() - {x for x in vb[e] if len(rb[x]) == 1}
+                vs.discard(a)
+                lone_u, lone_v = {}, {}  # target -> far targets of its one edge
+                for f in parallel:
+                    gu = {u for u in va[f] if len(ra[u]) - (u in inside) == 1}
+                    gv = {v for v in vb[f] if len(rb[v]) - (v in inside) == 1}
+                    gu.discard(b)
+                    gv.discard(a)
+                    lone_u.update(dict.fromkeys(gu, gv))
+                    lone_v.update(dict.fromkeys(gv, gu))
+                for u in us:
+                    near[u] |= vs - lone_u[u] if u in lone_u else vs
+                for v in vs:
+                    near[v] |= us - lone_v[v] if v in lone_v else us
+    pairs = []
+    for u, vs in enumerate(near):
+        pairs.extend(zip(repeat(u), sorted(v for v in vs if v > u)))
     return pairs
 
 
 def _walk_pairs(first, succ, head, n, work_budget):
-    """Pairs (i, j), i < j, joined by a walk of exactly n steps over states.
+    """Sorted pairs (i, j), i < j, joined by a walk of n steps over states.
 
     `first[i]` lists the states one step from vertex i, `succ[s]` the states
     one step after state s, and `head[s]` the vertex state s stands at. The
@@ -81,7 +182,7 @@ def _walk_pairs(first, succ, head, n, work_budget):
                 raise ResourceCapError(over_budget)
         ends = {head[s] for s in states}
         pairs.update(zip(repeat(start), [v for v in ends if v > start]))
-    return pairs
+    return sorted(pairs)
 
 
 def _nb_table(adj, work_budget):
@@ -107,10 +208,8 @@ def _nb_table(adj, work_budget):
 
 
 def _from_pairs(base, n, mode, pairs):
-    edges = [(base.vertices[i], base.vertices[j]) for i, j in sorted(pairs)]
-    return NeighborhoodGraph(
-        base=base, n=n, mode=mode, graph=Graph(base.vertices, edges)
-    )
+    graph = Graph._from_dense(base, pairs)
+    return NeighborhoodGraph(base=base, n=n, mode=mode, graph=graph)
 
 
 def neighborhood_graph(

@@ -680,3 +680,29 @@ class TestNeighbourSetConstructions:
         assert result.output == (
             "1 3\n1 5\n2 4\n2 6\n3 5\n4 6\nblock 1 3 5\nblock 2 4 6\ninclusions ok\n"
         )
+
+
+class TestShortPathNeigh:
+    def test_star_g2_refused_by_work_budget(self, runner, star3200):
+        # The 3,200 leaves give 3,200 x 3,199 second steps through the centre.
+        result = runner.invoke(main, ["neigh", star3200, "--n", "2"])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr == "error: path enumeration exceeded work budget 5000000\n"
+
+    def test_hyper_check_inclusions_refused(self, runner, h1):
+        result = runner.invoke(
+            main, ["neigh", h1, "--n", "2", "--hyper", "--check-inclusions"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: inclusion checks apply to graphs only\n"
+
+    def test_hyper_check_inclusions_refused_before_loading(self, runner, tmp_path):
+        bad = tmp_path / "bad.hyper"
+        bad.write_text("a a\n")
+        result = runner.invoke(
+            main, ["neigh", str(bad), "--n", "2", "--hyper", "--check-inclusions"]
+        )
+        assert result.exit_code == 3
+        assert result.stderr == "error: inclusion checks apply to graphs only\n"

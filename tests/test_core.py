@@ -312,6 +312,47 @@ class TestHypergraph:
             Hypergraph(["a"], [("a", "a")])
 
 
+class TestDerivedGraphs:
+    """`without_edges` and `associated_graph` build on the base's dense index;
+    they must equal a graph built from vertex ids."""
+
+    @staticmethod
+    def same_graph(derived, expected):
+        assert derived.vertices == expected.vertices
+        assert derived._edges == expected._edges
+        assert derived._adj == expected._adj
+        assert derived.has_loops() == expected.has_loops()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_without_edges(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng)
+        if rng.random() < 0.3:
+            g = Graph(g.vertices, g.edge_ids() + [(rng.choice(g.vertices),)])
+        edges = g.edge_ids()
+        removed = rng.sample(edges, rng.randint(0, len(edges)))
+        kept = [e for e in edges if e not in removed]
+        removed = [e[::-1] if rng.random() < 0.5 else e for e in removed]
+        self.same_graph(g.without_edges(removed), Graph(g.vertices, kept))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_associated_graph(self, seed):
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(rng.randint(1, 8))]
+        hyperedges = [
+            tuple(rng.sample(names, rng.randint(1, min(4, len(names)))))
+            for _ in range(rng.randint(1, 10))
+        ]
+        hyperedges += [rng.choice(hyperedges) for _ in range(rng.randint(0, 3))]
+        h = Hypergraph(names, hyperedges)
+        id_edges = [
+            (a, b) for e in hyperedges for a in e for b in e if a != b or len(e) == 1
+        ]
+        self.same_graph(h.associated_graph(), Graph(names, id_edges))
+
+
 class TestPartition:
     def test_roundtrip_json(self):
         p = Partition([("a", "b"), ("c",)])

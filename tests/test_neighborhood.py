@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivcurv import (
+    Hypergraph,
     PreconditionError,
     ResourceCapError,
     WalkMode,
@@ -17,6 +18,7 @@ from equivcurv import (
     neighborhood_graph,
     parse_graph,
 )
+from equivcurv.core import simple_paths
 
 from support import random_connected_graph, random_hypergraph
 
@@ -328,3 +330,124 @@ class TestWalkOracles:
         message = "walk enumeration exceeded work budget"
         with pytest.raises(ResourceCapError, match=message):
             neighborhood_graph(g, n, mode, work_budget=cost - 1)
+
+
+def random_multi_hypergraph(rng: random.Random, max_vertices=7, max_hyperedges=8):
+    """Loop-free hypergraph whose hyperedges repeat and overlap often."""
+    n = rng.randint(2, max_vertices)
+    names = [f"v{i}" for i in range(n)]
+    hyperedges = []
+    for _ in range(rng.randint(1, max_hyperedges)):
+        roll = rng.random()
+        if hyperedges and roll < 0.2:
+            hyperedges.append(rng.choice(hyperedges))  # a repeat
+        elif hyperedges and roll < 0.45:
+            base = rng.choice(hyperedges)  # an overlap in two or more members
+            keep = rng.sample(base, 2)
+            others = [v for v in names if v not in keep]
+            extra = rng.sample(others, rng.randint(0, min(2, len(others))))
+            hyperedges.append(tuple(keep + extra))
+        else:
+            hyperedges.append(tuple(rng.sample(names, rng.randint(2, min(5, n)))))
+    return Hypergraph(names, hyperedges)
+
+
+def random_short_path_input(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        return random_connected_graph(rng, max_vertices=9)
+    return random_multi_hypergraph(rng)
+
+
+def dfs_pairs(structure, n):
+    """Pairs (i, j), i < j, joined by a simple path of n steps, by the DFS."""
+    pairs = set()
+    for start, _, ends in simple_paths(structure.path_steps(), n, 10**9):
+        pairs.update((start, v) for v in ends)
+    return pairs
+
+
+def dfs_units(structure, n):
+    """The least work budget under which the DFS finishes, by bisection."""
+
+    def finishes(budget):
+        try:
+            for _ in simple_paths(structure.path_steps(), n, budget):
+                pass
+        except ResourceCapError:
+            return False
+        return True
+
+    low, high = -1, 1
+    while not finishes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if finishes(mid) else (mid, high)
+    return high
+
+
+def build(structure, n, **kwargs):
+    if isinstance(structure, Hypergraph):
+        return hyper_neighborhood_graph(structure, n, **kwargs)
+    return neighborhood_graph(structure, n, **kwargs)
+
+
+class TestShortPathsAgainstDfs:
+    """n <= 3 meets in the middle; the DFS `simple_paths` is the oracle for
+    its pairs and for its work units, hence for its refusals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(1, 3))
+    def test_pairs_match_dfs(self, seed, n):
+        s = random_short_path_input(seed)
+        assert set(build(s, n).graph.edge_pairs()) == dfs_pairs(s, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(1, 3))
+    def test_budget_is_the_dfs_unit_count(self, seed, n):
+        s = random_short_path_input(seed)
+        units = dfs_units(s, n)
+        assert build(s, n, work_budget=units).graph.edge_pairs() == sorted(
+            dfs_pairs(s, n)
+        )
+        message = f"path enumeration exceeded work budget {units - 1}$"
+        with pytest.raises(ResourceCapError, match=message):
+            build(s, n, work_budget=units - 1)
+
+    @pytest.mark.parametrize(
+        "text, n, units",
+        [
+            # c6: 12 first steps; each of the 6 edges is the middle of 2
+            # directed paths of 3 steps plus their 2 second steps.
+            ("1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n", 3, 36),
+            # K4: 12 first steps, then 3 x 2 two-step paths through each of 4
+            # middles.
+            ("a b\na c\na d\nb c\nb d\nc d\n", 2, 36),
+        ],
+    )
+    def test_hand_counted_units(self, text, n, units):
+        g = parse_graph(text)
+        assert dfs_units(g, n) == units
+        neighborhood_graph(g, n, work_budget=units)
+        with pytest.raises(ResourceCapError):
+            neighborhood_graph(g, n, work_budget=units - 1)
+
+    def test_repeated_hyperedges_are_distinct_edges(self):
+        # One hyperedge {a, b, c} gives no path of two hyperedges; its
+        # repeat gives a-b-c through the two copies.
+        once = Hypergraph("abc", ["abc"])
+        twice = Hypergraph("abc", ["abc", "abc"])
+        assert hyper_neighborhood_graph(once, 2).graph.n_edges() == 0
+        assert hyper_neighborhood_graph(twice, 2).graph.n_edges() == 3
+        assert dfs_pairs(twice, 2) == {(0, 1), (0, 2), (1, 2)}
+
+    def test_overlapping_hyperedges_at_n3(self):
+        # f = {a, b, u, v} holds both ends of the middle step e = {a, b}, so
+        # u-a-b-v would use f twice; g = {b, v} gives u-a-b-v by f, e, g.
+        h = Hypergraph("abuv", [("a", "b"), ("a", "b", "u", "v")])
+        assert edge_set(hyper_neighborhood_graph(h, 3)) == set()
+        h = Hypergraph("abuv", [("a", "b"), ("a", "b", "u", "v"), ("b", "v")])
+        expected = {frozenset("uv"), frozenset("au")}  # a-b-v-u by e, g, f
+        assert edge_set(hyper_neighborhood_graph(h, 3)) == expected
+        assert hyper_path_oracle(h, 3) == expected

@@ -232,23 +232,22 @@ def _parse_edge_options(values):
 def cmd_partition(input_file, method, n, k, removed, chosen):
     """Run a partition construction and emit its report as JSON."""
     cap = _path_cap()
-    kwargs = {"path_cap": cap}
     if method in ("h2", "hn"):
         h = _load_hypergraph(input_file)
         if method == "h2":
-            report = weak_regular_from_h2(h, **kwargs)
+            report = weak_regular_from_h2(h, path_cap=cap)
         else:
             if n is None:
                 raise click.UsageError("--n is required for method hn")
-            report = weak_regular_from_hn(h, n, **kwargs)
+            report = weak_regular_from_hn(h, n, path_cap=cap)
     else:
         g = _load_graph(input_file)
         if method == "g2":
-            report = regular_from_g2(g, **kwargs)
+            report = regular_from_g2(g, path_cap=cap)
         elif method == "gn":
             if n is None:
                 raise click.UsageError("--n is required for method gn")
-            report = regular_from_gn(g, n, **kwargs)
+            report = regular_from_gn(g, n, path_cap=cap)
         elif method == "structural":
             report = structural_from_curvature(g)
         elif method == "subcliques":
@@ -258,12 +257,12 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
             report = regular_from_curvature_subcliques(g, sets)
         elif method == "triangle-removal":
             removal = RemovalSet.of(_parse_edge_options(removed))
-            report = regular_from_triangle_removal(g, removal, **kwargs)
+            report = regular_from_triangle_removal(g, removal, path_cap=cap)
         else:
             if k is None:
                 raise click.UsageError("--k is required for method kcycle-removal")
             removal = RemovalSet.of(_parse_edge_options(removed))
-            report = regular_from_kcycle_removal(g, k, removal, **kwargs)
+            report = regular_from_kcycle_removal(g, k, removal, path_cap=cap)
     _emit_json(report.to_json())
 
 
@@ -350,10 +349,7 @@ def _fixture_checks():
         for n in range(1, 7)
     ]
     yield "c6 component counts 1,2,3,2,1,6", counts == [1, 2, 3, 2, 1, 6]
-    edge_sets = [
-        set(map(frozenset, neighborhood_graph(c6, n).graph.edge_ids()))
-        for n in range(1, 7)
-    ]
+    edge_sets = [neighborhood_graph(c6, n).graph.edge_pairs() for n in range(1, 7)]
     yield "c6 G2 = G4 and G1 = G5", (
         edge_sets[1] == edge_sets[3] and edge_sets[0] == edge_sets[4]
     )

@@ -117,6 +117,20 @@ class BfsRow:
         return dist
 
 
+class Budget:
+    """The units of work one enumeration may spend, charged as it goes."""
+
+    def __init__(self, kind, limit):
+        self.kind, self.limit, self.used = kind, limit, 0
+
+    def charge(self, units):
+        """Spend `units`; past `limit` in all, refuse with ResourceCapError."""
+        self.used += units
+        if self.used > self.limit:
+            message = f"{self.kind} enumeration exceeded work budget {self.limit}"
+            raise ResourceCapError(message)
+
+
 def simple_paths(steps, n, work_budget):
     """Yield (start, taken, ends) once per simple path of n - 1 steps.
 
@@ -126,10 +140,9 @@ def simple_paths(steps, n, work_budget):
     `ends` lists each vertex above `start` that an n-th step reaches, so a
     path of n steps is met from its lower end only. Iterative DFS with one
     iterator per open vertex; each step taken or counted costs one unit of
-    work, and exceeding `work_budget` raises ResourceCapError.
+    a path `Budget` of `work_budget` units.
     """
-    over_budget = f"path enumeration exceeded work budget {work_budget}"
-    work = 0
+    charge = Budget("path", work_budget).charge
     for start in range(len(steps)):
         visited = {start}
         used = set()
@@ -138,16 +151,12 @@ def simple_paths(steps, n, work_budget):
         while frames:
             if len(frames) == n:  # n - 1 steps taken: count every last step
                 last = [v for e, v in frames[-1] if v not in visited and e not in used]
-                work += len(last)
-                if work > work_budget:
-                    raise ResourceCapError(over_budget)
+                charge(len(last))
                 yield start, taken, [v for v in last if v > start]
             for e, v in frames[-1]:  # exhausted right after a yield
                 if v in visited or e in used:
                     continue
-                work += 1
-                if work > work_budget:
-                    raise ResourceCapError(over_budget)
+                charge(1)
                 visited.add(v)
                 used.add(e)
                 taken.append((e, v))
@@ -337,9 +346,9 @@ class Graph(_Indexed):
             steps[j].append((e, i))
         return steps
 
-    def triangles(self, work_budget=DEFAULT_WORK_BUDGET):
+    def triangles(self):
         """Every 3-clique exactly once, lexicographic by dense index."""
-        return self.k_cycles(3, work_budget)
+        return self.k_cycles(3)
 
     def k_cycles(self, k, work_budget=DEFAULT_WORK_BUDGET):
         """All simple cycles on exactly k distinct vertices, canonicalised.
@@ -370,6 +379,7 @@ class Hypergraph(_Indexed):
     def __init__(self, vertices, hyperedges):
         super().__init__(vertices)
         self.hyperedges = []
+        self._incidence = [[] for _ in self.vertices]
         self._has_loops = False
         for e in hyperedges:
             e = tuple(e)
@@ -380,11 +390,9 @@ class Hypergraph(_Indexed):
             ids = [self._idx(v) for v in e]
             if len(set(ids)) != len(ids):
                 raise PreconditionError(f"duplicate vertex inside hyperedge {e!r}")
+            for i in ids:
+                self._incidence[i].append(len(self.hyperedges))
             self.hyperedges.append(e)
-        self._incidence = [[] for _ in self.vertices]
-        for ei, e in enumerate(self.hyperedges):
-            for v in e:
-                self._incidence[self.index[v]].append(ei)
         self._graph = None
 
     def has_loops(self):

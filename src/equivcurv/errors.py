@@ -28,4 +28,4 @@ class PreconditionError(EquivCurvError):
 
 
 class ResourceCapError(EquivCurvError):
-    """A configured resource cap (path length, vertex count, work budget) was hit."""
+    """A configured resource cap (path length, work budget) was hit."""

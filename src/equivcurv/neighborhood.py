@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core import DEFAULT_WORK_BUDGET, Graph, Hypergraph, simple_paths
+from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, simple_paths
 from .errors import PreconditionError, ResourceCapError
 
 DEFAULT_PATH_CAP = 8
@@ -80,16 +80,14 @@ def _short_path_pairs(steps, n, work_budget):
     the targets v != a of b, through edges other than e, with u != v, unless
     u's edges and v's edges are one and the same single edge.
 
-    Each middle is charged, before its pairs are emitted, exactly the units
-    the DFS spends on the paths through it: one per second step taken and
-    one per last step counted, by inclusion-exclusion over repeated vertices
-    and edges. With the first steps this is the DFS's total, so the same
-    inputs are refused with the same message.
+    Each middle is charged to a path `Budget`, before its pairs are emitted,
+    exactly the units the DFS spends on the paths through it: one per second
+    step taken and one per last step counted, by inclusion-exclusion over
+    repeated vertices and edges. With the first steps this is the DFS's
+    total, so the same inputs are refused with the same message.
     """
-    over_budget = f"path enumeration exceeded work budget {work_budget}"
-    work = sum(map(len, steps))
-    if work > work_budget:
-        raise ResourceCapError(over_budget)
+    charge = Budget("path", work_budget).charge
+    charge(sum(map(len, steps)))
     # reach[w][v]: the edges of w's steps to v; via[w][e]: the targets through e
     reach, via = [], []
     for row in steps:
@@ -106,9 +104,7 @@ def _short_path_pairs(steps, n, work_budget):
     elif n == 2:
         for w, r in enumerate(reach):
             k = len(steps[w])
-            work += k * (k - 1) - _repeats(r.values()) - _repeats(via[w].values())
-            if work > work_budget:
-                raise ResourceCapError(over_budget)
+            charge(k * (k - 1) - _repeats(r.values()) - _repeats(via[w].values()))
             lone = {}  # target -> the targets that reach w by its one edge only
             for vs in via[w].values():
                 if len(vs) > 1:
@@ -133,9 +129,7 @@ def _short_path_pairs(steps, n, work_budget):
                     (len(ra[x]) - (x in inside)) * (len(rb[x]) - (x in inside))
                     for x in ra.keys() & rb.keys()
                 ) + sum((len(va[f]) - 1) * (len(va[f]) - 2) for f in parallel)
-                work += n_u + n_v + 2 * (n_u * n_v - clash)
-                if work > work_budget:
-                    raise ResourceCapError(over_budget)
+                charge(n_u + n_v + 2 * (n_u * n_v - clash))
                 us = ra.keys() - {x for x in inside if len(ra[x]) == 1}
                 us.discard(b)
                 vs = rb.keys() - {x for x in vb[e] if len(rb[x]) == 1}
@@ -163,23 +157,18 @@ def _walk_pairs(first, succ, head, n, work_budget):
 
     `first[i]` lists the states one step from vertex i, `succ[s]` the states
     one step after state s, and `head[s]` the vertex state s stands at. The
-    states of a step form a set; each costs one unit of work, at every step
-    from every start, and exceeding `work_budget` raises ResourceCapError. A
-    reversed walk is a walk too, so each pair is collected from its lower end.
+    states of a step form a set; each costs one unit of a walk `Budget` of
+    `work_budget` units, at every step from every start. A reversed walk is
+    a walk too, so each pair is collected from its lower end.
     """
-    over_budget = f"walk enumeration exceeded work budget {work_budget}"
+    charge = Budget("walk", work_budget).charge
     pairs = set()
-    work = 0
     for start, states in enumerate(first):
         states = set(states)
-        work += len(states)
-        if work > work_budget:
-            raise ResourceCapError(over_budget)
+        charge(len(states))
         for _ in range(n - 1):
             states = set().union(*map(succ.__getitem__, states))
-            work += len(states)
-            if work > work_budget:
-                raise ResourceCapError(over_budget)
+            charge(len(states))
         ends = {head[s] for s in states}
         pairs.update(zip(repeat(start), [v for v in ends if v > start]))
     return sorted(pairs)
@@ -193,8 +182,7 @@ def _nb_table(adj, work_budget):
     the work of the second step summed over all starts, so for n >= 2 a
     table larger than the budget is refused before it is built.
     """
-    if sum(len(a) * (len(a) - 1) for a in adj) > work_budget:
-        raise ResourceCapError(f"walk enumeration exceeded work budget {work_budget}")
+    Budget("walk", work_budget).charge(sum(len(a) * (len(a) - 1) for a in adj))
     leaving, head = [], []
     for nbrs in adj:
         leaving.append(list(range(len(head), len(head) + len(nbrs))))
@@ -272,19 +260,19 @@ class InclusionReport:
 
 def inclusion_check(g: Graph, n: int, **kwargs) -> InclusionReport:
     """Verify E_n <= E_n^NB <= E_n^walk by building all three modes."""
-    path = neighborhood_graph(g, n, WalkMode.PATH, **kwargs).graph
-    nb = neighborhood_graph(g, n, WalkMode.NON_BACKTRACKING, **kwargs).graph
-    walk = neighborhood_graph(g, n, WalkMode.WALK, **kwargs).graph
-    path_edges = set(map(frozenset, path.edge_ids()))
-    nb_edges = set(map(frozenset, nb.edge_ids()))
-    walk_edges = set(map(frozenset, walk.edge_ids()))
+    path, nb, walk = (  # all on g's dense index, in WalkMode's chain order
+        neighborhood_graph(g, n, mode, **kwargs).graph._edges for mode in WalkMode
+    )
     counterexample = None
-    path_in_nb = path_edges <= nb_edges
-    nb_in_walk = nb_edges <= walk_edges
+    path_in_nb = path <= nb
+    nb_in_walk = nb <= walk
     if not path_in_nb:
-        bad = sorted(tuple(sorted(e)) for e in path_edges - nb_edges)[0]
-        counterexample = (bad, "path not in nb")
+        counterexample = (_smallest_ids(g, path - nb), "path not in nb")
     elif not nb_in_walk:
-        bad = sorted(tuple(sorted(e)) for e in nb_edges - walk_edges)[0]
-        counterexample = (bad, "nb not in walk")
+        counterexample = (_smallest_ids(g, nb - walk), "nb not in walk")
     return InclusionReport(n, path_in_nb, nb_in_walk, counterexample)
+
+
+def _smallest_ids(g, pairs):
+    """The least (u, v), u < v as ids, of dense-index pairs of g."""
+    return min(tuple(sorted((g.vertices[i], g.vertices[j]))) for i, j in pairs)

@@ -6,7 +6,9 @@ a precondition fails but the input is still processable, the construction
 emits the partition anyway and lets the verdict speak (the degree conditions
 are sufficient, not necessary). The structural and curvature-subclique
 constructions decide from neighbour sets alone and build no neighbourhood
-graph.
+graph. The others take one cap, `path_cap` on the order of the graph they
+build; that build and every cycle or removal-set enumeration spend one
+default work budget each.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import DEFAULT_WORK_BUDGET, Graph, Hypergraph, Partition
+from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, Partition
 from .equivalence import (
     is_regular_partition,
     is_weak_regular_partition,
     structural_classes,
 )
-from .errors import PreconditionError, ResourceCapError
-from .neighborhood import WalkMode, hyper_neighborhood_graph, neighborhood_graph
+from .errors import PreconditionError
+from .neighborhood import DEFAULT_PATH_CAP, hyper_neighborhood_graph, neighborhood_graph
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def _require(structure, disconnected=None):
         raise PreconditionError(disconnected)
 
 
-def _components_report(structure, base, n, method, preconditions, nbh_kwargs,
+def _components_report(structure, base, n, method, preconditions, path_cap,
                        two_note=False):
     """Report the components of base's G_n (H_n) as classes of `structure`.
 
@@ -103,10 +105,10 @@ def _components_report(structure, base, n, method, preconditions, nbh_kwargs,
     regular one. With `two_note`, two components get the maximality note.
     """
     if isinstance(base, Graph):
-        built = neighborhood_graph(base, n, WalkMode.PATH, **nbh_kwargs)
+        built = neighborhood_graph(base, n, path_cap=path_cap)
         verify, notion = is_regular_partition, "regular"
     else:
-        built = hyper_neighborhood_graph(base, n, **nbh_kwargs)
+        built = hyper_neighborhood_graph(base, n, path_cap=path_cap)
         verify, notion = is_weak_regular_partition, "weak regular"
     partition = built.graph.connected_components()
     notes = []
@@ -117,19 +119,21 @@ def _components_report(structure, base, n, method, preconditions, nbh_kwargs,
     return _report(verify, structure, partition, method, preconditions, notes)
 
 
-def regular_from_g2(g: Graph, **nbh_kwargs) -> ConstructionReport:
+def regular_from_g2(g: Graph, path_cap: int = DEFAULT_PATH_CAP) -> ConstructionReport:
     """Components of G_2 as regular classes of a connected loop-free graph."""
     _require(g, "graph must be connected; apply per component")
     return _components_report(
-        g, g, 2, "g2-components", [("connected", True)], nbh_kwargs, two_note=True
+        g, g, 2, "g2-components", [("connected", True)], path_cap, two_note=True
     )
 
 
-def regular_from_gn(g: Graph, n: int, **nbh_kwargs) -> ConstructionReport:
+def regular_from_gn(
+    g: Graph, n: int, path_cap: int = DEFAULT_PATH_CAP
+) -> ConstructionReport:
     """Components of G_n as regular classes; sound when min degree >= 2."""
     _require(g)
     preconditions = [("min-degree-2", g.min_degree() >= 2)]
-    return _components_report(g, g, n, "gn-components", preconditions, nbh_kwargs)
+    return _components_report(g, g, n, "gn-components", preconditions, path_cap)
 
 
 def structural_from_curvature(g: Graph) -> ConstructionReport:
@@ -198,38 +202,36 @@ def _validate_removal_against_cycles(cycles, removal: RemovalSet, what):
 
 
 def regular_from_triangle_removal(
-    g: Graph, removal: RemovalSet, **nbh_kwargs
+    g: Graph, removal: RemovalSet, path_cap: int = DEFAULT_PATH_CAP
 ) -> ConstructionReport:
     """Components of (g - removal)_2 as regular classes of the original g.
 
     The removal set may delete at most one edge per triangle of g.
     """
     _require(g)
-    budget = nbh_kwargs.get("work_budget", DEFAULT_WORK_BUDGET)
-    _validate_removal_against_cycles(g.triangles(budget), removal, "triangle")
+    _validate_removal_against_cycles(g.triangles(), removal, "triangle")
     pruned = g.without_edges(removal.pairs())
     return _components_report(
-        g, pruned, 2, "triangle-removal", [("one-edge-per-triangle", True)],
-        nbh_kwargs,
+        g, pruned, 2, "triangle-removal", [("one-edge-per-triangle", True)], path_cap
     )
 
 
 def regular_from_kcycle_removal(
-    g: Graph, k: int, removal: RemovalSet, **nbh_kwargs
+    g: Graph, k: int, removal: RemovalSet, path_cap: int = DEFAULT_PATH_CAP
 ) -> ConstructionReport:
     """Components of (g - removal)_{k-1} as regular classes of the original g.
 
     Requires a connected graph with min degree >= 2, at most one removed edge
-    per k-cycle, and min degree >= 2 surviving the removal. Cycle enumeration
-    is charged to the same work budget as the G_{k-1} build.
+    per k-cycle, and min degree >= 2 surviving the removal. The k-cycles and
+    the G_{k-1} build are each enumerated under the default work budget, and
+    the build also under `path_cap` on k - 1.
     """
     if k < 3:
         raise PreconditionError("k-cycle removal requires k >= 3")
     _require(g, "graph must be connected")
     if g.min_degree() < 2:
         raise PreconditionError("graph must have min degree >= 2")
-    budget = nbh_kwargs.get("work_budget", DEFAULT_WORK_BUDGET)
-    _validate_removal_against_cycles(g.k_cycles(k, budget), removal, f"{k}-cycle")
+    _validate_removal_against_cycles(g.k_cycles(k), removal, f"{k}-cycle")
     pruned = g.without_edges(removal.pairs())
     if pruned.min_degree() < 2:
         raise PreconditionError("removal creates a vertex of degree < 2")
@@ -240,41 +242,44 @@ def regular_from_kcycle_removal(
         ("pruned-min-degree-2", True),
     ]
     return _components_report(
-        g, pruned, k - 1, "kcycle-removal", preconditions, nbh_kwargs
+        g, pruned, k - 1, "kcycle-removal", preconditions, path_cap
     )
 
 
-def weak_regular_from_h2(h: Hypergraph, **nbh_kwargs) -> ConstructionReport:
+def weak_regular_from_h2(
+    h: Hypergraph, path_cap: int = DEFAULT_PATH_CAP
+) -> ConstructionReport:
     """Components of H_2 as weak regular classes of a connected hypergraph."""
     _require(h, "hypergraph must be connected; apply per component")
     return _components_report(
-        h, h, 2, "h2-components", [("connected", True)], nbh_kwargs, two_note=True
+        h, h, 2, "h2-components", [("connected", True)], path_cap, two_note=True
     )
 
 
-def weak_regular_from_hn(h: Hypergraph, n: int, **nbh_kwargs) -> ConstructionReport:
+def weak_regular_from_hn(
+    h: Hypergraph, n: int, path_cap: int = DEFAULT_PATH_CAP
+) -> ConstructionReport:
     """Components of H_n; sound when every vertex has >= 2 neighbours."""
     _require(h)
     preconditions = [
         ("min-2-neighbours", all(len(h.neighbors(v)) >= 2 for v in h.vertices))
     ]
-    return _components_report(h, h, n, "hn-components", preconditions, nbh_kwargs)
+    return _components_report(h, h, n, "hn-components", preconditions, path_cap)
 
 
-def enumerate_removal_sets(g: Graph, max_size: int = 3, max_vertices: int = 9):
+def enumerate_removal_sets(g: Graph, max_size: int = 3):
     """All triangle-valid removal sets up to `max_size` edges, for exploration.
 
-    Exponential; restricted to small graphs.
+    Exponential in `max_size`. Each candidate set costs 1 + (number of
+    triangles) units of a removal-set `Budget` of the default work budget.
     """
-    if g.n_vertices() > max_vertices:
-        raise ResourceCapError(
-            f"removal-set enumeration is limited to {max_vertices} vertices"
-        )
     edges = [tuple(e) for e in g.edge_ids() if e[0] != e[1]]
     triangles = g.triangles()
+    charge = Budget("removal-set", DEFAULT_WORK_BUDGET).charge
     out = []
     for size in range(max_size + 1):
         for combo in combinations(edges, size):
+            charge(1 + len(triangles))
             removal = RemovalSet.of(combo)
             try:
                 _validate_removal_against_cycles(triangles, removal, "triangle")

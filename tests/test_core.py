@@ -19,7 +19,7 @@ from equivcurv import (
     parse_hypergraph,
 )
 from equivcurv import fixtures
-from equivcurv.core import BfsRow
+from equivcurv.core import BfsRow, Budget
 
 from support import random_connected_graph
 
@@ -197,6 +197,16 @@ class TestComponentsAndBipartition:
     def test_bipartition_matches_networkx(self, seed):
         g = random_connected_graph(random.Random(seed))
         assert g.bipartition().is_bipartite == nx.is_bipartite(to_networkx(g))
+
+
+class TestBudget:
+    def test_charges_up_to_the_limit_then_refuses(self):
+        budget = Budget("path", 5)
+        budget.charge(2)
+        budget.charge(3)  # exactly the limit is still allowed
+        with pytest.raises(ResourceCapError) as info:
+            budget.charge(1)
+        assert str(info.value) == "path enumeration exceeded work budget 5"
 
 
 class TestCycles:

@@ -1,5 +1,6 @@
 """n-neighbourhood graphs in all three modes, plus caps and inclusions."""
 
+import dataclasses
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from equivcurv import (
     neighborhood_graph,
     parse_graph,
 )
+import equivcurv.neighborhood as neighborhood_module
 from equivcurv.core import simple_paths
 
 from support import random_connected_graph, random_hypergraph
@@ -156,6 +158,32 @@ class TestModes:
         g = random_connected_graph(random.Random(seed), max_vertices=8)
         report = inclusion_check(g, n)
         assert report.holds, report.counterexample
+
+    @pytest.mark.parametrize(
+        "dropped, relation",
+        [
+            (WalkMode.NON_BACKTRACKING, "path not in nb"),
+            (WalkMode.WALK, "nb not in walk"),
+        ],
+    )
+    def test_counterexample_is_smallest_by_id(self, monkeypatch, dropped, relation):
+        # Dense order 6, 5, ..., 1 reverses the sorted order of the ids. G_3 of
+        # this c6 joins opposite vertices; with every edge of one mode dropped,
+        # the smallest missing pair is (6, 3) by dense index, ("1", "4") by id.
+        g = parse_graph("6 5\n5 4\n4 3\n3 2\n2 1\n1 6\n")
+        build = neighborhood_module.neighborhood_graph
+
+        def dropping(g, n, mode, **kwargs):
+            built = build(g, n, mode, **kwargs)
+            if mode is not dropped:
+                return built
+            empty = built.graph.without_edges(built.graph.edge_ids())
+            return dataclasses.replace(built, graph=empty)
+
+        monkeypatch.setattr(neighborhood_module, "neighborhood_graph", dropping)
+        report = inclusion_check(g, 3)
+        assert not report.holds
+        assert report.counterexample == (("1", "4"), relation)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5))

@@ -212,6 +212,13 @@ class TestTriangleRemoval:
         assert any(len(r) == 0 for r in options)
         assert len(options) == 1 + g.n_edges()
 
+    def test_enumerate_has_no_vertex_cap(self):
+        # Ten vertices and no triangle: the empty set and each of the ten
+        # edges are valid, and the work budget, not the vertex count, bounds
+        # the enumeration.
+        g = parse_graph("".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+        assert len(enumerate_removal_sets(g, max_size=1)) == 11
+
 
 class TestKCycleRemoval:
     def test_c6(self):

@@ -8,9 +8,9 @@ solver keeps integer duals u (sources) and v (sinks) with u_i + v_j <= c_ij
 and moves mass only along cells where equality holds, so its final duals
 certify the optimum. The coupling witness is deterministic: supports are in
 sorted vertex-id order and every scan takes the lowest source index first,
-then the lowest sink index. Every coupling's marginals are checked against
-its measures. W1 and kappa are unique; the coupling is one optimal coupling
-among possibly many.
+then the lowest sink index. Every coupling's marginals are checked on its
+integer flow; its `Fraction` entries are built when first read. W1 and kappa
+are unique; the coupling is one optimal coupling among possibly many.
 
 `curvatures` is the one place where a walk (`SimilarityWalk`) becomes
 measures and curvatures; `orc`, `en_orc` and `ee_orc` are its one-pair
@@ -44,13 +44,22 @@ class Measure:
 
     def __init__(self, masses):
         self.masses = {v: Fraction(m) for v, m in masses.items() if m != 0}
-        if any(m < 0 for m in self.masses.values()):
+        # Integer form: sorted support, lcm of the denominators, masses times it.
+        self._support = sorted(self.masses)
+        self._den = lcm(*[m.denominator for m in self.masses.values()])
+        self._nums = [int(self.masses[v] * self._den) for v in self._support]
+        if any(q < 0 for q in self._nums):
             raise PreconditionError("measure has a negative mass")
-        if sum(self.masses.values(), Fraction(0)) != 1:
+        if sum(self._nums) != self._den:
             raise PreconditionError("measure masses must sum to exactly 1")
 
     def support(self):
-        return sorted(self.masses)
+        return list(self._support)
+
+    def _integers(self, scale, size):
+        """Masses times `scale` as integers in support order, zero-padded to `size`."""
+        factor = scale // self._den
+        return [q * factor for q in self._nums] + [0] * (size - len(self._nums))
 
     def __getitem__(self, v):
         return self.masses.get(v, Fraction(0))
@@ -70,35 +79,53 @@ def measures_equal(mu: Measure, nu: Measure) -> bool:
     return mu == nu
 
 
-def _scaled(mu: Measure, scale: int):
-    """Masses of mu times `scale`, as integers; scale is a common denominator."""
-    return {v: m.numerator * (scale // m.denominator) for v, m in mu.masses.items()}
+def _check_marginals(flow, supply, demand):
+    """Refuse an integer flow with a negative cell or sums other than supply/demand."""
+    if min(map(min, flow)) < 0:
+        raise PreconditionError("coupling has a negative entry")
+    if [sum(row) for row in flow] != supply or [sum(col) for col in zip(*flow)] != demand:
+        raise PreconditionError("coupling marginals do not match the measures")
 
 
 class Coupling:
     """Joint rational mass on vertex pairs with prescribed marginals."""
 
     def __init__(self, entries, mu: Measure, nu: Measure):
-        self.entries = {
+        self._entries = {
             (u, v): Fraction(m) for (u, v), m in entries.items() if m != 0
         }
-        # Marginals are compared as integers: every mass times the lcm of all
-        # denominators, entries' and measures' alike.
-        scale = lcm(
-            *[m.denominator for m in self.entries.values()],
-            *[m.denominator for m in mu.masses.values()],
-            *[m.denominator for m in nu.masses.values()],
-        )
-        row = {}
-        col = {}
-        for (u, v), m in self.entries.items():
-            if m < 0:
-                raise PreconditionError("coupling has a negative entry")
-            q = m.numerator * (scale // m.denominator)
-            row[u] = row.get(u, 0) + q
-            col[v] = col.get(v, 0) + q
-        if row != _scaled(mu, scale) or col != _scaled(nu, scale):
-            raise PreconditionError("coupling marginals do not match the measures")
+        # Marginals are compared as integers, over the lcm of all denominators.
+        # A vertex outside a support gets its own row or column of zero mass.
+        scale = lcm(mu._den, nu._den, *[m.denominator for m in self._entries.values()])
+        rows = {u: i for i, u in enumerate(mu._support)}
+        cols = {v: j for j, v in enumerate(nu._support)}
+        for u, v in self._entries:
+            rows.setdefault(u, len(rows))
+            cols.setdefault(v, len(cols))
+        flow = [[0] * len(cols) for _ in rows]
+        for (u, v), m in self._entries.items():
+            flow[rows[u]][cols[v]] = m.numerator * (scale // m.denominator)
+        _check_marginals(flow, mu._integers(scale, len(rows)), nu._integers(scale, len(cols)))
+
+    @classmethod
+    def _from_flow(cls, sources, targets, flow, scale):
+        """A solver's checked flow over sources x targets; masses are flow / scale."""
+        coupling = cls.__new__(cls)
+        coupling._entries, coupling._flow = None, (sources, targets, flow, scale)
+        return coupling
+
+    @property
+    def entries(self):
+        """Mass per vertex pair; a solver's flow becomes Fractions on first read."""
+        if self._entries is None:
+            sources, targets, flow, scale = self._flow
+            self._entries = {
+                (u, v): Fraction(q, scale)
+                for u, row in zip(sources, flow)
+                for v, q in zip(targets, row)
+                if q
+            }
+        return self._entries
 
     def cost(self, dist) -> Fraction:
         total = Fraction(0)
@@ -274,10 +301,10 @@ def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
     `dist` maps a vertex-id pair to a nonnegative integer distance or None
     for unreachable pairs. Supports must lie in one connected component.
     A caller that already holds the distances passes `cost` instead: the
-    integer matrix over mu.support() x nu.support(), one row per source.
+    integer matrix over mu.support() x nu.support(), one row per source;
+    a matrix of any other shape is refused.
     """
-    sources = mu.support()
-    targets = nu.support()
+    sources, targets = mu._support, nu._support
     if cost is None:
         cost = []
         for u in sources:
@@ -291,22 +318,15 @@ def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
                     )
                 row.append(d)
             cost.append(row)
-    scale = lcm(
-        *[m.denominator for m in mu.masses.values()],
-        *[m.denominator for m in nu.masses.values()],
-    )
-    scaled_mu, scaled_nu = _scaled(mu, scale), _scaled(nu, scale)
-    supply = [scaled_mu[u] for u in sources]
-    demand = [scaled_nu[v] for v in targets]
+    elif len(cost) != len(sources) or any(len(row) != len(targets) for row in cost):
+        shape = f"{len(sources)} x {len(targets)}"
+        raise PreconditionError(f"cost matrix must be |supp mu| x |supp nu| = {shape}")
+    scale = lcm(mu._den, nu._den)
+    supply = mu._integers(scale, len(sources))
+    demand = nu._integers(scale, len(targets))
     flow, total, _, _ = _solve_transport(supply, demand, cost)
-    entries = {
-        (u, v): Fraction(flow[i][j], scale)
-        for i, u in enumerate(sources)
-        for j, v in enumerate(targets)
-        if flow[i][j]
-    }
-    coupling = Coupling(entries, mu, nu)
-    return Fraction(total, scale), coupling
+    _check_marginals(flow, supply, demand)
+    return Fraction(total, scale), Coupling._from_flow(sources, targets, flow, scale)
 
 
 def _walk_measure(structure, v, walk) -> Measure:

@@ -1,7 +1,11 @@
 """Exact W1 / curvature machinery against brute-force and networkx oracles."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -536,3 +540,200 @@ class TestBatchedCurvatures:
         # the last pair's rows are read by no later pair, so none is kept.
         assert kept == [["a", "b", "c"], ["a", "b", "c"], []]
         assert not batch.rows
+
+
+class TestCostMatrixShape:
+    """A caller's cost matrix must be |supp mu| x |supp nu|, one row per source."""
+
+    MU = Measure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    NU = Measure({"c": Fraction(1)})
+
+    @pytest.mark.parametrize(
+        "cost",
+        [[[1], [2], [3]], [[1, 2], [2, 3]], [[1]]],
+        ids=["extra-row", "extra-column", "missing-row"],
+    )
+    def test_wrong_shape_refused(self, cost):
+        with pytest.raises(PreconditionError) as info:
+            wasserstein1(self.MU, self.NU, cost=cost)
+        assert str(info.value) == "cost matrix must be |supp mu| x |supp nu| = 2 x 1"
+
+    def test_right_shape_accepted(self):
+        w1, coupling = wasserstein1(self.MU, self.NU, cost=[[1], [2]])
+        assert w1 == Fraction(3, 2)
+        assert coupling.entries == {("a", "c"): Fraction(1, 2), ("b", "c"): Fraction(1, 2)}
+
+
+@st.composite
+def transport_problems(draw):
+    """Positive integer supply and demand with equal totals, costs 0..5."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    supply = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    demand = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    supply, demand = [s * sum(demand) for s in supply], [d * sum(supply) for d in demand]
+    row = st.lists(st.integers(0, 5), min_size=k, max_size=k)
+    cost = draw(st.lists(row, min_size=m, max_size=m))
+    return supply, demand, cost
+
+
+class TestSolverDuals:
+    """The solver's own duals certify every solve; no enumeration needed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(transport_problems())
+    def test_duals_certify_every_solve(self, problem):
+        supply, demand, cost = problem
+        flow, total, u, v = _solve_transport(supply, demand, cost)
+        cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+        assert all(u[i] + v[j] <= cost[i][j] for i, j in cells)
+        assert all(u[i] + v[j] == cost[i][j] for i, j in cells if flow[i][j] > 0)
+        assert sum(s * a for s, a in zip(supply, u)) + sum(
+            d * b for d, b in zip(demand, v)
+        ) == total
+        assert [sum(row) for row in flow] == supply
+        assert [sum(col) for col in zip(*flow)] == demand
+
+
+def _bench_workloads():
+    """The benchmark's seeded input generators, bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _flow_entries(mu, nu, dist):
+    """Coupling entries as Fractions straight from the solver's flow, in order."""
+    sources, targets = mu.support(), nu.support()
+    scale = lcm(
+        *[m.denominator for m in mu.masses.values()],
+        *[m.denominator for m in nu.masses.values()],
+    )
+    supply = [int(mu[u] * scale) for u in sources]
+    demand = [int(nu[v] * scale) for v in targets]
+    cost = [[0 if u == v else dist(u, v) for v in targets] for u in sources]
+    flow = _solve_transport(supply, demand, cost)[0]
+    return [
+        ((u, v), Fraction(flow[i][j], scale))
+        for i, u in enumerate(sources)
+        for j, v in enumerate(targets)
+        if flow[i][j]
+    ]
+
+
+def _walk_structures():
+    """(structure, walk) for every fixture and seed-1 benchmark graph1.edges."""
+    out = [(fixtures.graph(name), SimilarityWalk.GRAPH) for name in fixtures.GRAPHS]
+    for name in fixtures.HYPERGRAPHS:
+        h = fixtures.hypergraph(name)
+        out += [(h, SimilarityWalk.EN), (h, SimilarityWalk.EE)]
+    graph1 = _bench_workloads().graph_all_pairs(1).inputs[0]
+    assert graph1.filename == "graph1.edges"
+    return out + [(parse_graph(graph1.text), SimilarityWalk.GRAPH)]
+
+
+class TestIntegerMarginalCheck:
+    """wasserstein1 checks every flow's marginals on the integer flow."""
+
+    MU = Measure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    NU = Measure({"c": Fraction(1, 2), "d": Fraction(1, 2)})
+
+    def _solve_with(self, monkeypatch, change):
+        import equivcurv.transport as transport
+
+        original = transport._solve_transport
+
+        def tampered(supply, demand, cost):
+            flow, total, u, v = original(supply, demand, cost)
+            change(flow)
+            return flow, total, u, v
+
+        monkeypatch.setattr(transport, "_solve_transport", tampered)
+        return wasserstein1(self.MU, self.NU, cost=[[0, 1], [1, 0]])
+
+    def test_unit_moved_between_columns(self, monkeypatch):
+        def move(flow):
+            assert flow == [[1, 0], [0, 1]]
+            flow[0][0] -= 1
+            flow[0][1] += 1
+
+        with pytest.raises(PreconditionError, match="coupling marginals do not match the measures"):
+            self._solve_with(monkeypatch, move)
+
+    def test_negative_cell(self, monkeypatch):
+        def negate(flow):  # the marginals still match; only the sign is wrong
+            flow[:] = [[2, -1], [-1, 2]]
+
+        with pytest.raises(PreconditionError, match="coupling has a negative entry"):
+            self._solve_with(monkeypatch, negate)
+
+    def test_entries_are_the_flow_over_scale(self):
+        for structure, walk in _walk_structures():
+            vertices = structure.vertices
+            pairs = [
+                (x, y)
+                for i, x in enumerate(vertices)
+                for y in vertices[i + 1 :]
+                if structure.distance(x, y) is not None
+            ]
+            measure = {
+                SimilarityWalk.GRAPH: neighbor_measure,
+                SimilarityWalk.EN: en_measure,
+                SimilarityWalk.EE: ee_measure,
+            }[walk]
+            for (x, y), r in zip(pairs, curvatures(structure, pairs, walk)):
+                mu, nu = measure(structure, x), measure(structure, y)
+                entries = r.coupling.entries
+                assert list(entries.items()) == _flow_entries(mu, nu, structure.distance)
+                assert r.coupling.entries is entries  # built once, on first read
+                assert Coupling(entries, mu, nu).entries == entries
+
+
+def _fraction_verdict(masses):
+    """Reference: the refusal message for `masses` from Fraction sums, or None."""
+    kept = {v: Fraction(m) for v, m in masses.items() if m != 0}
+    if any(m < 0 for m in kept.values()):
+        return "measure has a negative mass"
+    if sum(kept.values(), Fraction(0)) != 1:
+        return "measure masses must sum to exactly 1"
+    return None
+
+
+class TestMeasureIntegerChecks:
+    """Measure's integer checks give the Fraction sums' verdicts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        st.sampled_from(["exact", "plus", "minus", "negative"]),
+        st.integers(1, 40),
+        st.integers(0, 100_000),
+    )
+    def test_same_verdict_as_fraction_sums(self, weights, shape, q, seed):
+        rng = random.Random(seed)
+        total = sum(weights)
+        masses = {f"v{i}": Fraction(w, total) for i, w in enumerate(weights)}
+        key = rng.choice(list(masses))
+        if shape == "plus":
+            masses[key] += Fraction(1, q)
+        elif shape == "minus":
+            masses[key] -= Fraction(1, q)
+        elif shape == "negative":
+            masses[key] = -masses[key]
+        for i in range(rng.randint(0, 2)):  # zero masses are dropped
+            masses[f"z{i}"] = rng.choice([0, Fraction(0)])
+        masses = {  # integral masses as plain ints
+            v: int(m) if m.denominator == 1 and rng.random() < 0.5 else m
+            for v, m in ((v, Fraction(m)) for v, m in masses.items())
+        }
+        want = _fraction_verdict(masses)
+        try:
+            mu = Measure(masses)
+        except PreconditionError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+            assert mu.masses == {v: m for v, m in masses.items() if m != 0}
+            assert mu.support() == sorted(mu.masses)

@@ -8,7 +8,8 @@ depend on hash order. Structures are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from bisect import bisect_left
+from itertools import islice, repeat
 
 from .errors import ParseError, PreconditionError, ResourceCapError, UnknownVertexError
 
@@ -73,9 +74,9 @@ class BfsRow:
     """Resumable dense-index BFS from one source.
 
     `dist` maps every index reached so far to its hop count from the source.
-    `reach` expands only as far as its targets need, and keeps the level being
-    expanded, how much of it is done and the next level found so far, so a
-    later call resumes where the last one stopped, even mid-level.
+    `reach` expands only as far as its targets or radius need, and keeps the
+    level being expanded, how much of it is done and the next level found so
+    far, so a later call resumes where the last one stopped, even mid-level.
     """
 
     __slots__ = ("dist", "_level", "_at", "_next", "_depth")
@@ -87,20 +88,23 @@ class BfsRow:
         self._next = []  # vertices at hop count _depth + 1 found so far
         self._depth = 0
 
-    def reach(self, adj, targets=None):
+    def reach(self, adj, targets=None, radius=None):
         """Expand until every target has a hop count; return `dist`.
 
         With targets None the whole component is expanded. Otherwise expansion
         stops right after the vertex whose neighbours include the last missing
         target; a target in another component leaves the component exhausted.
+        A `radius` also stops it at the start of level `radius`, once every
+        vertex within `radius` hops has its hop count.
         """
         dist = self.dist
         missing = set() if targets is None else {t for t in targets if t not in dist}
         if targets is not None and not missing:
             return dist
+        last = len(adj) if radius is None else radius  # the last hop count needed
         level, at, nxt, d = self._level, self._at, self._next, self._depth + 1
         done = False
-        while level and not done:
+        while level and not done and d <= last:
             for x in islice(level, at, None):
                 at += 1
                 for y in adj[x]:
@@ -115,6 +119,26 @@ class BfsRow:
                 level, at, nxt, d = nxt, 0, [], d + 1
         self._level, self._at, self._next, self._depth = level, at, nxt, d - 1
         return dist
+
+
+def _meet_distance(adj, s, t):
+    """BFS hop count from s to t, or None when t lies in another component.
+
+    Two rows grow a full level at a time, the one with the smaller frontier
+    first, until a new level meets the other row. While rows of depths a and
+    b are disjoint, d(s, t) > a + b; so when level a + 1 meets the other row,
+    d(s, t) = a + 1 + b.
+    """
+    if s == t:
+        return 0
+    rows = BfsRow(s), BfsRow(t)
+    while True:
+        row, other = sorted(rows, key=lambda r: len(r._level))
+        if not row._level:
+            return None
+        row.reach(adj, radius=row._depth + 1)
+        if any(w in other.dist for w in row._level):
+            return row._depth + other._depth
 
 
 class Budget:
@@ -173,10 +197,9 @@ def simple_paths(steps, n, work_budget):
 def _strip_comments(text):
     """Yield (lineno, tokens) for non-comment, non-blank lines."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, tokens
 
 
 class _Indexed:
@@ -208,44 +231,48 @@ class Graph(_Indexed):
 
     def __init__(self, vertices, edges):
         super().__init__(vertices)
-        pairs = set()
+        nbrs = [set() for _ in self.vertices]
         for e in edges:
             e = tuple(e)
-            ids = sorted({self._idx(v) for v in e})
+            ids = {self._idx(v) for v in e}
             if not 1 <= len(ids) <= 2:
                 raise PreconditionError(f"edge {e!r} has more than two endpoints")
-            pairs.add((ids[0], ids[-1]))
-        self._link(sorted(pairs))
+            for i in ids:
+                nbrs[i].update(ids - {i} or ids)  # a one-vertex edge is a loop
+        self._link(nbrs)
 
     @classmethod
-    def _from_dense(cls, base, pairs):
-        """Graph on `base`'s vertex list and index from sorted (i, j) pairs.
+    def _from_sets(cls, base, nbrs):
+        """Graph on `base`'s vertex list and index from neighbour sets.
 
-        `pairs` are distinct dense indices of `base` with i <= j, in sorted
-        order; (i, i) is a loop. No id is looked up and nothing is re-sorted.
+        `nbrs[i]` is the set of dense indices joined to i, symmetric, with i
+        itself for a loop; the graph takes the list over. No id is looked up.
         """
         g = cls.__new__(cls)
         g.vertices, g.index = base.vertices, base.index
-        g._link(pairs)
+        g._link(nbrs)
         return g
 
-    def _link(self, pairs):
-        """Set the edges and adjacency from sorted, distinct (i, j), i <= j.
+    def _link(self, nbrs):
+        """Set the edges, then the adjacency, from symmetric neighbour sets.
 
-        Every (h, v) with h < v sorts before every (v, j) with j >= v, so
-        each adjacency list comes out sorted.
+        Each sorted set lists i's edges (i, j), i <= j, from i upwards, so the
+        edges and the lists built from them come out sorted. The sets are
+        freed first, so that the lists can reuse their memory.
         """
+        pairs = []
+        for i, s in enumerate(nbrs):
+            row = sorted(s)
+            pairs += zip(repeat(i), row[bisect_left(row, i):])
+        nbrs.clear()
         self._pairs = tuple(pairs)
-        self._edges = frozenset(self._pairs)
-        adj = [[] for _ in self.vertices]
-        self._has_loops = False
-        for i, j in self._pairs:
+        self._edges = frozenset(pairs)
+        adj = self._adj = [[] for _ in self.vertices]
+        for i, j in pairs:
             adj[i].append(j)
-            if i == j:
-                self._has_loops = True
-            else:
+            if i != j:
                 adj[j].append(i)
-        self._adj = adj
+        self._has_loops = any(i == j for i, j in pairs)
 
     # -- edges --------------------------------------------------------------
 
@@ -269,14 +296,14 @@ class Graph(_Indexed):
 
     def without_edges(self, removed):
         """New graph on the same vertex set with the given edges deleted."""
-        removed_idx = set()
+        nbrs = [set(a) for a in self._adj]
         for u, v in removed:
             i, j = self._idx(u), self._idx(v)
-            key = (min(i, j), max(i, j))
-            if key not in self._edges:
+            if (min(i, j), max(i, j)) not in self._edges:
                 raise PreconditionError(f"edge ({u!r}, {v!r}) not present in graph")
-            removed_idx.add(key)
-        return Graph._from_dense(self, sorted(self._edges - removed_idx))
+            nbrs[i].discard(j)
+            nbrs[j].discard(i)
+        return Graph._from_sets(self, nbrs)
 
     # -- local structure ----------------------------------------------------
 
@@ -296,9 +323,8 @@ class Graph(_Indexed):
     # -- distances and components -------------------------------------------
 
     def distance(self, u, v):
-        """BFS shortest-path distance; None when unreachable."""
-        s, t = self._idx(u), self._idx(v)
-        return BfsRow(s).reach(self._adj, (t,)).get(t)
+        """BFS shortest-path distance, met from both ends; None when unreachable."""
+        return _meet_distance(self._adj, self._idx(u), self._idx(v))
 
     def distances_from(self, u):
         """Dict vertex id -> BFS distance, reachable vertices only."""
@@ -420,8 +446,7 @@ class Hypergraph(_Indexed):
 
     def distance(self, u, v):
         """Hyperedge-hop distance, by BFS on the associated graph."""
-        s, t = self._idx(u), self._idx(v)
-        return BfsRow(s).reach(self.associated_graph().adjacency(), (t,)).get(t)
+        return _meet_distance(self.associated_graph().adjacency(), self._idx(u), self._idx(v))
 
     def distances_from(self, u):
         """Dict vertex id -> hyperedge-hop distance, reachable vertices only."""
@@ -435,14 +460,12 @@ class Hypergraph(_Indexed):
         first use and kept, so parsing does not pay for it.
         """
         if self._graph is None:
-            pairs = set()
+            nbrs = [set() for _ in self.vertices]
             for e in self.hyperedges:
-                ids = sorted(map(self.index.__getitem__, e))
-                if len(ids) == 1:
-                    pairs.add((ids[0], ids[0]))
-                else:
-                    pairs.update(combinations(ids, 2))
-            self._graph = Graph._from_dense(self, sorted(pairs))
+                ids = set(map(self.index.__getitem__, e))
+                for i in ids:
+                    nbrs[i].update(ids - {i} or ids)  # a singleton is a loop
+            self._graph = Graph._from_sets(self, nbrs)
         return self._graph
 
     def is_connected(self):
@@ -451,14 +474,20 @@ class Hypergraph(_Indexed):
 
 def parse_graph(text):
     """Parse edge-list text: one edge per line, 1 token = loop, '#' comments."""
-    edges = []
+    index, nbrs = {}, []  # one pass: a new token gets the next dense index
     for lineno, tokens in _strip_comments(text):
         if len(tokens) > 2:
             raise ParseError(
                 f"expected 1 or 2 tokens, got {len(tokens)}", line=lineno
             )
-        edges.append(tuple(tokens))
-    return Graph([v for e in edges for v in e], edges)
+        for v in tokens:
+            if v not in index:
+                index[v] = len(nbrs)
+                nbrs.append(set())
+        i, j = index[tokens[0]], index[tokens[-1]]
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return Graph._from_sets(_Indexed(index), nbrs)
 
 
 def parse_hypergraph(text):

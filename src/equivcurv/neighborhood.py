@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import repeat
 
 from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, simple_paths
 from .errors import PreconditionError, ResourceCapError
@@ -52,26 +51,28 @@ def _check_path_cap(n, path_cap, override_caps):
         )
 
 
-def _path_pairs(structure, n, work_budget):
-    """Sorted pairs (i, j), i < j, joined by a simple path of exactly n steps.
+def _path_nbrs(structure, n, work_budget):
+    """Per vertex, the set of others joined to it by a simple path of n steps.
 
     n <= 3 meets in the middle; longer paths are enumerated by the DFS.
     """
     steps = structure.path_steps()
     if n <= 3:
-        return _short_path_pairs(steps, n, work_budget)
-    pairs = set()
+        return _short_path_nbrs(steps, n, work_budget)
+    near = [set() for _ in steps]
     for start, _, ends in simple_paths(steps, n, work_budget):
-        pairs.update(zip(repeat(start), ends))
-    return sorted(pairs)
+        near[start].update(ends)
+        for v in ends:
+            near[v].add(start)
+    return near
 
 
 def _repeats(groups):
     return sum(len(g) * (len(g) - 1) for g in groups)
 
 
-def _short_path_pairs(steps, n, work_budget):
-    """`_path_pairs` for n <= 3 over `simple_paths` steps, in polynomial time.
+def _short_path_nbrs(steps, n, work_budget):
+    """`_path_nbrs` for n <= 3 over `simple_paths` steps, in polynomial time.
 
     A step is an (edge id, vertex) pair; a graph is the case where every edge
     has two members. n = 2 joins the targets u != v of each middle vertex w,
@@ -146,23 +147,22 @@ def _short_path_pairs(steps, n, work_budget):
                     near[u] |= vs - lone_u[u] if u in lone_u else vs
                 for v in vs:
                     near[v] |= us - lone_v[v] if v in lone_v else us
-    pairs = []
     for u, vs in enumerate(near):
-        pairs.extend(zip(repeat(u), sorted(v for v in vs if v > u)))
-    return pairs
+        vs.discard(u)
+    return near
 
 
-def _walk_pairs(first, succ, head, n, work_budget):
-    """Sorted pairs (i, j), i < j, joined by a walk of n steps over states.
+def _walk_nbrs(first, succ, head, n, work_budget):
+    """Per vertex, the set of others joined to it by a walk of n steps over states.
 
     `first[i]` lists the states one step from vertex i, `succ[s]` the states
     one step after state s, and `head[s]` the vertex state s stands at. The
     states of a step form a set; each costs one unit of a walk `Budget` of
     `work_budget` units, at every step from every start. A reversed walk is
-    a walk too, so each pair is collected from its lower end.
+    a walk too, so the sets come out symmetric.
     """
     charge = Budget("walk", work_budget).charge
-    pairs = set()
+    near = []
     for start, states in enumerate(first):
         states = set(states)
         charge(len(states))
@@ -170,8 +170,9 @@ def _walk_pairs(first, succ, head, n, work_budget):
             states = set().union(*map(succ.__getitem__, states))
             charge(len(states))
         ends = {head[s] for s in states}
-        pairs.update(zip(repeat(start), [v for v in ends if v > start]))
-    return sorted(pairs)
+        ends.discard(start)
+        near.append(ends)
+    return near
 
 
 def _nb_table(adj, work_budget):
@@ -195,8 +196,8 @@ def _nb_table(adj, work_budget):
     return leaving, succ, head
 
 
-def _from_pairs(base, n, mode, pairs):
-    graph = Graph._from_dense(base, pairs)
+def _from_nbrs(base, n, mode, nbrs):
+    graph = Graph._from_sets(base, nbrs)
     return NeighborhoodGraph(base=base, n=n, mode=mode, graph=graph)
 
 
@@ -217,15 +218,15 @@ def neighborhood_graph(
     _check_input(g, n, "neighbourhood graphs require a loop-free input")
     if mode is WalkMode.PATH:
         _check_path_cap(n, path_cap, override_caps)
-        pairs = _path_pairs(g, n, work_budget)
+        nbrs = _path_nbrs(g, n, work_budget)
     elif mode is WalkMode.WALK or n == 1:  # one step never backtracks
         adj = g.adjacency()
         succ = [set(a) for a in adj]  # set unions merge sets fastest
-        pairs = _walk_pairs(adj, succ, range(len(adj)), n, work_budget)
+        nbrs = _walk_nbrs(adj, succ, range(len(adj)), n, work_budget)
     else:
         table = _nb_table(g.adjacency(), work_budget)
-        pairs = _walk_pairs(*table, n, work_budget)
-    return _from_pairs(g, n, mode, pairs)
+        nbrs = _walk_nbrs(*table, n, work_budget)
+    return _from_nbrs(g, n, mode, nbrs)
 
 
 def hyper_neighborhood_graph(
@@ -243,7 +244,7 @@ def hyper_neighborhood_graph(
     """
     _check_input(h, n, "H_n requires all hyperedges to have |e| >= 2")
     _check_path_cap(n, path_cap, override_caps)
-    return _from_pairs(h, n, WalkMode.PATH, _path_pairs(h, n, work_budget))
+    return _from_nbrs(h, n, WalkMode.PATH, _path_nbrs(h, n, work_budget))
 
 
 @dataclass(frozen=True)

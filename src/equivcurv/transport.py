@@ -18,7 +18,8 @@ calls, and `curv` and `sim` hand it their whole pair list. Within one call it
 builds each vertex's measure at most once and each BFS row at most once. A
 row is expanded only as far as the current pair needs (y for d(x, y), supp
 mu_y for the costs), resumed by later pairs, and dropped once no later pair
-reads it.
+reads it. A row no later pair reads stops halfway and meets the targets it
+misses from their side; a one-off d(x, y) is met from both ends.
 """
 
 from __future__ import annotations
@@ -416,9 +417,26 @@ class _Batch:
                 raise PreconditionError(
                     f"{x!r} and {y!r} lie in different connected components"
                 )
+        # Every cost is at most d + 2. A row no later pair reads stops once it
+        # holds every vertex within r1 hops; a target v it misses lies further
+        # off, and a shortest path to it passes within r1 hops at exactly r2
+        # hops from v, so d(s, v) = r2 + min(dist_s over v's ring at r2 hops).
+        r1 = (d + 3) // 2
+        r2 = d + 2 - r1
+        rings = {}  # target -> the vertices exactly r2 hops from it
         cost = []
         for s in sources:
-            dist = self._row(s).reach(self.adj, targets)
+            row = self._row(s)
+            if s in self.rows:  # a later pair reads it: expand as far as needed
+                dist = row.reach(self.adj, targets)
+            else:  # dropped after this pair, so its dist may take far costs
+                dist = row.reach(self.adj, targets, r1)
+                for t in targets:
+                    if t not in dist:
+                        if t not in rings:
+                            around = BfsRow(t).reach(self.adj, radius=r2)
+                            rings[t] = [w for w, k in around.items() if k == r2]
+                        dist[t] = r2 + min(dist[w] for w in rings[t] if w in dist)
             cost.append([dist[t] for t in targets])
         w1, coupling = wasserstein1(mu, nu, cost=cost)
         return CurvatureResult(

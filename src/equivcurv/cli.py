@@ -139,7 +139,8 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
     else:
         structure = _load_graph(input_file)
         result = neighborhood_graph(structure, n, WalkMode(mode), path_cap=cap)
-    lines = [f"{u} {v}\n" for u, v in result.graph.edge_ids()]
+    ids = result.graph.vertices
+    lines = [f"{ids[i]} {ids[j]}\n" for i, j in result.graph.edge_pairs()]
     blocks = result.graph.connected_components().blocks
     lines += [f"block {' '.join(block)}\n" for block in blocks]
     click.echo("".join(lines), nl=False)  # one write, not one per line

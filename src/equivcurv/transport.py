@@ -2,15 +2,19 @@
 
 All masses and costs are exact: masses are `fractions.Fraction`, costs and
 flows are `int`. W1 is solved by scaling both measures to integers with the
-lcm of their mass denominators and running the primal-dual (Hungarian)
-method for the transportation problem on the bipartite support graph. The
-solver keeps integer duals u (sources) and v (sinks) with u_i + v_j <= c_ij
-and moves mass only along cells where equality holds, so its final duals
-certify the optimum. The coupling witness is deterministic: supports are in
-sorted vertex-id order and every scan takes the lowest source index first,
-then the lowest sink index. Every coupling's marginals are checked on its
-integer flow; its `Fraction` entries are built when first read. W1 and kappa
-are unique; the coupling is one optimal coupling among possibly many.
+lcm of their mass denominators. The costs are a distance, so W1 depends only
+on mu - nu: every vertex v in both supports keeps min(mu(v), nu(v)) on the
+cell (v, v), and only the rest is transported. The rows and columns that
+still hold mass go to the primal-dual (Hungarian) method for the
+transportation problem on their bipartite support graph. The solver keeps
+integer duals u (sources) and v (sinks) with u_i + v_j <= c_ij and moves
+mass only along cells where equality holds, so its final duals certify the
+optimum of the transported part. The coupling witness is deterministic:
+supports are in sorted vertex-id order, and within the transported part
+every scan takes the lowest source index first, then the lowest sink index.
+Every coupling's marginals are checked on its full integer flow; its
+`Fraction` entries are built when first read. W1 and kappa are unique; the
+coupling is one optimal coupling among possibly many.
 
 `curvatures` is the one place where a walk (`SimilarityWalk`) becomes
 measures and curvatures; `orc`, `en_orc` and `ee_orc` are its one-pair
@@ -25,10 +29,12 @@ misses from their side; a one-off d(x, y) is met from both ends.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul, sub
 
 from .core import BfsRow, Graph, Hypergraph
 from .errors import PreconditionError
@@ -212,38 +218,45 @@ def _solve_transport(supply, demand, cost):
     reproducible.
     """
     m, k = len(supply), len(demand)
+    sinks = range(k)
     u = [min(row) for row in cost]
-    v = [min(cost[i][j] - u[i] for i in range(m)) for j in range(k)]
+    v = [min(map(sub, col, u)) for col in zip(*cost)]
     flow = [[0] * k for _ in range(m)]
     rem_s, rem_d = list(supply), list(demand)
     left = sum(supply)
     while left:
-        tight = [[j for j in range(k) if cost[i][j] - u[i] == v[j]] for i in range(m)]
+        tight = [[j for j in sinks if row[j] - v[j] == a] for row, a in zip(cost, u)]
         for i, row in enumerate(tight):
+            s = rem_s[i]
+            if not s:
+                continue
+            f = flow[i]
             for j in row:
-                q = min(rem_s[i], rem_d[j])
-                if q:
-                    flow[i][j] += q
-                    rem_s[i] -= q
-                    rem_d[j] -= q
+                d = rem_d[j]
+                if d:
+                    q = s if s < d else d
+                    f[j] += q
+                    s -= q
+                    rem_d[j] = d - q
                     left -= q
+                    if not s:
+                        break
+            rem_s[i] = s
         while left:
             sink, pred_s, pred_d = _search(tight, flow, rem_s, rem_d)
             if sink is None:
                 break
             left -= _augment(sink, pred_s, pred_d, flow, rem_s, rem_d)
         if left:
-            reached = [i for i in range(m) if pred_s[i] is not None]
-            unreached = [j for j in range(k) if pred_d[j] is None]
-            delta = min(cost[i][j] - u[i] - v[j] for i in reached for j in unreached)
+            reached = [i for i, p in enumerate(pred_s) if p is not None]
+            unreached = [j for j, p in enumerate(pred_d) if p is None]
+            delta = min([cost[i][j] - u[i] - v[j] for i in reached for j in unreached])
             for i in reached:
                 u[i] += delta
-            for j in range(k):
-                if pred_d[j] is not None:
+            for j, p in enumerate(pred_d):
+                if p is not None:
                     v[j] -= delta
-    total = sum(
-        flow[i][j] * cost[i][j] for i in range(m) for j in range(k) if flow[i][j]
-    )
+    total = sum([sum(map(mul, f, row)) for f, row in zip(flow, cost)])
     return flow, total, u, v
 
 
@@ -266,7 +279,7 @@ def _search(tight, flow, rem_s, rem_d):
             if rem_d[j]:
                 return j, pred_s, pred_d
             for i2, row in enumerate(flow):
-                if pred_s[i2] is None and row[j]:
+                if row[j] and pred_s[i2] is None:
                     pred_s[i2] = j
                     queue.append(i2)
     return None, pred_s, pred_d
@@ -281,8 +294,10 @@ def _augment(sink, pred_s, pred_d, flow, rem_s, rem_d):
         if pred_s[i] == -1:
             break
         j = pred_s[i]
-        amount = min(amount, flow[i][j])
-    amount = min(amount, rem_s[i])
+        if flow[i][j] < amount:
+            amount = flow[i][j]
+    if rem_s[i] < amount:
+        amount = rem_s[i]
     j = sink
     while True:
         i = pred_d[j]
@@ -304,6 +319,12 @@ def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
     A caller that already holds the distances passes `cost` instead: the
     integer matrix over mu.support() x nu.support(), one row per source;
     a matrix of any other shape is refused.
+
+    `dist` or `cost` must be a distance: 0 from a vertex to itself, and
+    obeying the triangle inequality. Then W1 depends only on mu - nu, so the
+    mass min(mu(v), nu(v)) of every shared vertex v stays on (v, v) and the
+    solver moves only the rest. A `cost` that is not 0 at a shared vertex is
+    refused; the triangle inequality is not checked.
     """
     sources, targets = mu._support, nu._support
     if cost is None:
@@ -325,7 +346,31 @@ def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
     scale = lcm(mu._den, nu._den)
     supply = mu._integers(scale, len(sources))
     demand = nu._integers(scale, len(targets))
-    flow, total, _, _ = _solve_transport(supply, demand, cost)
+    # Support order, so that a refusal names the same vertex under any hash seed.
+    shared = sorted(mu.masses.keys() & nu.masses.keys())
+    if not shared:  # nothing to cancel: solve in place, with no sliced copy
+        flow, total, _, _ = _solve_transport(supply, demand, cost)
+    else:  # shared mass stays on (v, v); the solver moves the rest
+        flow = [[0] * len(targets) for _ in sources]
+        rest_s, rest_d = list(supply), list(demand)
+        for v in shared:
+            i, j = bisect_left(sources, v), bisect_left(targets, v)
+            if cost[i][j]:
+                raise PreconditionError(f"cost matrix must be 0 at shared vertex {v!r}")
+            q = flow[i][j] = min(supply[i], demand[j])
+            rest_s[i] -= q
+            rest_d[j] -= q
+        rows = [i for i, q in enumerate(rest_s) if q]
+        cols = [j for j, q in enumerate(rest_d) if q]
+        part, total, _, _ = _solve_transport(
+            [rest_s[i] for i in rows],
+            [rest_d[j] for j in cols],
+            [[cost[i][j] for j in cols] for i in rows],
+        )
+        for i, got in zip(rows, part):
+            row = flow[i]
+            for j, q in zip(cols, got):
+                row[j] = q
     _check_marginals(flow, supply, demand)
     return Fraction(total, scale), Coupling._from_flow(sources, targets, flow, scale)
 

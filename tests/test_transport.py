@@ -1,7 +1,9 @@
 """Exact W1 / curvature machinery against brute-force and networkx oracles."""
 
 import importlib.util
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import lcm
@@ -564,6 +566,119 @@ class TestCostMatrixShape:
         assert coupling.entries == {("a", "c"): Fraction(1, 2), ("b", "c"): Fraction(1, 2)}
 
 
+class TestDistanceContract:
+    """wasserstein1's costs must be a distance; what it refuses, and where."""
+
+    HALF = Fraction(1, 2)
+
+    def test_cost_not_zero_at_a_shared_vertex_is_refused(self):
+        mu = Measure({"a": self.HALF, "b": self.HALF})
+        nu = Measure({"b": self.HALF, "c": self.HALF})
+        with pytest.raises(PreconditionError) as info:
+            wasserstein1(mu, nu, cost=[[1, 2], [1, 1]])
+        assert str(info.value) == "cost matrix must be 0 at shared vertex 'b'"
+
+    def test_supports_across_components_name_the_first_pair(self):
+        g = parse_graph("a b\nb c\nd e\n")
+        mu = Measure({"a": self.HALF, "b": self.HALF})
+        nu = Measure({"b": self.HALF, "d": self.HALF})
+        asked = []
+
+        def dist(u, v):
+            asked.append((u, v))
+            return g.distance(u, v)
+
+        with pytest.raises(PreconditionError) as info:
+            wasserstein1(mu, nu, dist)
+        assert str(info.value) == (
+            "fully dissimilar supports span components: no path between 'a' and 'd'"
+        )
+        assert asked == [("a", "b"), ("a", "d")]  # row-major, (v, v) not asked
+
+    def test_equal_measures_across_components_are_refused(self):
+        # All mass is shared, so nothing moves; every cell is still evaluated.
+        g = parse_graph("a b\nd e\n")
+        mu = Measure({"a": self.HALF, "d": self.HALF})
+        with pytest.raises(PreconditionError, match="no path between 'a' and 'd'"):
+            wasserstein1(mu, Measure(mu.masses), g.distance)
+
+
+class TestSharedMass:
+    """Shared mass stays on (v, v), and W1 is still the full problem's optimum."""
+
+    MEASURE = {
+        SimilarityWalk.GRAPH: neighbor_measure,
+        SimilarityWalk.EN: en_measure,
+        SimilarityWalk.EE: ee_measure,
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from(list(SimilarityWalk)))
+    def test_equals_the_full_solve(self, seed, walk):
+        rng = random.Random(seed)
+        if walk is SimilarityWalk.GRAPH:
+            structure = random_connected_graph(rng, max_vertices=9, min_vertices=3)
+        else:
+            structure = random_hypergraph(rng, max_vertices=9)
+        vertices = structure.vertices
+        pairs = [  # at distance 1 or 2, measures often share vertices
+            (x, y)
+            for i, x in enumerate(vertices)
+            for y in vertices[i + 1 :]
+            if structure.distance(x, y) in (1, 2)
+        ]
+        batched = dict(zip(pairs, curvatures(structure, pairs, walk)))
+        shared_seen = 0
+        for x, y in pairs:
+            mu = self.MEASURE[walk](structure, x)
+            nu = self.MEASURE[walk](structure, y)
+            sources, targets = mu.support(), nu.support()
+            scale = lcm(
+                *[m.denominator for m in mu.masses.values()],
+                *[m.denominator for m in nu.masses.values()],
+            )
+            supply = [int(mu[u] * scale) for u in sources]
+            demand = [int(nu[v] * scale) for v in targets]
+            cost = [[structure.distance(u, v) for v in targets] for u in sources]
+            w1, coupling = wasserstein1(mu, nu, structure.distance)
+            assert w1 == Fraction(_solve_transport(supply, demand, cost)[1], scale)
+            entries = coupling.entries
+            for v in mu.masses.keys() & nu.masses.keys():
+                shared_seen += 1
+                assert entries[(v, v)] == min(mu[v], nu[v])
+            assert Coupling(entries, mu, nu).entries == entries
+            # The batched engine passes a cost matrix and gets the same witness.
+            assert batched[(x, y)].w1 == w1
+            assert list(batched[(x, y)].coupling.entries.items()) == list(entries.items())
+        if walk is SimilarityWalk.GRAPH:
+            assert shared_seen  # a connected graph on >= 3 vertices has one
+
+    def test_coupling_does_not_depend_on_the_hash_seed(self):
+        script = (
+            "from equivcurv import SimilarityWalk, curvatures, fixtures\n"
+            "h = fixtures.hypergraph('hw')\n"
+            "vs = h.vertices\n"
+            "pairs = [(x, y) for i, x in enumerate(vs) for y in vs[i + 1:]]\n"
+            "for r in curvatures(h, pairs, SimilarityWalk.EE):\n"
+            "    print(list(r.coupling.entries.items()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        n = len(fixtures.hypergraph("hw").vertices)
+        assert outputs[0].count("\n") == n * (n - 1) // 2
+        assert outputs[0] == outputs[1]
+
+
 @st.composite
 def transport_problems(draw):
     """Positive integer supply and demand with equal totals, costs 0..5."""
@@ -605,16 +720,29 @@ def _bench_workloads():
 
 
 def _flow_entries(mu, nu, dist):
-    """Coupling entries as Fractions straight from the solver's flow, in order."""
+    """Coupling entries as Fractions, in row-major support order: each shared
+    vertex keeps min(mu(v), nu(v)) on (v, v), and the solver's flow covers the
+    rows and columns with mass left."""
     sources, targets = mu.support(), nu.support()
     scale = lcm(
         *[m.denominator for m in mu.masses.values()],
         *[m.denominator for m in nu.masses.values()],
     )
-    supply = [int(mu[u] * scale) for u in sources]
-    demand = [int(nu[v] * scale) for v in targets]
-    cost = [[0 if u == v else dist(u, v) for v in targets] for u in sources]
-    flow = _solve_transport(supply, demand, cost)[0]
+    supply = [int((mu[u] - min(mu[u], nu[u])) * scale) for u in sources]
+    demand = [int((nu[v] - min(mu[v], nu[v])) * scale) for v in targets]
+    rows = [i for i, q in enumerate(supply) if q]
+    cols = [j for j, q in enumerate(demand) if q]
+    cost = [[dist(sources[i], targets[j]) for j in cols] for i in rows]
+    part = _solve_transport(
+        [supply[i] for i in rows], [demand[j] for j in cols], cost
+    )[0]
+    flow = [[0] * len(targets) for _ in sources]
+    for i, u in enumerate(sources):
+        if u in nu.masses:
+            flow[i][targets.index(u)] = int(min(mu[u], nu[u]) * scale)
+    for i, got in zip(rows, part):
+        for j, q in zip(cols, got):
+            flow[i][j] = q
     return [
         ((u, v), Fraction(flow[i][j], scale))
         for i, u in enumerate(sources)

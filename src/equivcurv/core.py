@@ -155,30 +155,34 @@ class Budget:
             raise ResourceCapError(message)
 
 
-def simple_paths(steps, n, work_budget):
+def simple_paths(steps, n, work_budget, above_start=False):
     """Yield (start, taken, ends) once per simple path of n - 1 steps.
 
     `steps[v]` lists every (edge id, next vertex) leaving v; a simple path has
     distinct vertices and distinct edges. `taken` lists the path's (edge,
     vertex) steps after `start`; it is reused, so read it before resuming.
     `ends` lists each vertex above `start` that an n-th step reaches, so a
-    path of n steps is met from its lower end only. Iterative DFS with one
-    iterator per open vertex; each step taken or counted costs one unit of
-    a path `Budget` of `work_budget` units.
+    path of n steps is met from its lower end only. With `above_start` the
+    DFS never enters a vertex below its start, so every path it walks lies
+    above its start, its least vertex. Iterative DFS with one iterator per
+    open vertex; each step taken or counted costs one unit of a path
+    `Budget` of `work_budget` units.
     """
     charge = Budget("path", work_budget).charge
     for start in range(len(steps)):
+        floor = start if above_start else -1  # only vertices above it are entered
         visited = {start}
         used = set()
         taken = []
         frames = [iter(steps[start])]
         while frames:
             if len(frames) == n:  # n - 1 steps taken: count every last step
-                last = [v for e, v in frames[-1] if v not in visited and e not in used]
+                last = [v for e, v in frames[-1]
+                        if v > floor and v not in visited and e not in used]
                 charge(len(last))
                 yield start, taken, [v for v in last if v > start]
             for e, v in frames[-1]:  # exhausted right after a yield
-                if v in visited or e in used:
+                if v <= floor or v in visited or e in used:
                     continue
                 charge(1)
                 visited.add(v)
@@ -381,18 +385,20 @@ class Graph(_Indexed):
 
         Each cycle is listed once up to rotation and reflection, as a tuple
         starting at its minimum-index vertex with the smaller of its two
-        neighbours second, and the list is sorted by dense index. Every path
-        of k - 1 steps that stays above its start is closed by an edge back
-        to the start; the enumeration is charged to `work_budget` as in
-        `simple_paths`.
+        neighbours second, and the list is sorted by dense index. The DFS
+        enters no vertex below its start, so each cycle is rooted at its least
+        vertex (Johnson, 1975); every path of k - 1 steps is closed by an edge
+        back to the start. The enumeration is charged to `work_budget` as in
+        `simple_paths`: one unit per path that lies above its start.
         """
         if k < 3:
             raise PreconditionError("k-cycles require k >= 3")
         adjsets = [set(a) for a in self._adj]
         cycles = []
-        for start, taken, ends in simple_paths(self.path_steps(), k - 1, work_budget):
+        paths = simple_paths(self.path_steps(), k - 1, work_budget, above_start=True)
+        for start, taken, ends in paths:
             closing = [v for v in ends if v in adjsets[start]]
-            if closing and min(v for _, v in taken) > start:
+            if closing:
                 path = (start, *(v for _, v in taken))
                 cycles.extend(path + (v,) for v in closing if v > path[1])
         cycles.sort()

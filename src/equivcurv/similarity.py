@@ -3,7 +3,10 @@
 Cosine similarity is irrational in general, so every comparison here works on
 the exact triple (eta, d_x, d_y) in squared or cleared form; floating point
 only appears in rendered output. The curvature bounds relate sigma to the
-Ollivier-Ricci curvature of the pair.
+Ollivier-Ricci curvature of the pair. `bounds_hold` decides them by integer
+cross-multiplication on kappa's numerator and denominator, and
+`curvature_bounds` builds each bound as one `Fraction` of two integers, so
+no `Fraction` arithmetic runs per pair.
 """
 
 from __future__ import annotations
@@ -48,49 +51,45 @@ def cosine_similarity(g_or_h, x, y) -> CosineData:
     return CosineData(eta=len(nx_ & ny_), d_x=dx, d_y=dy)
 
 
-def _sqrt_lower(n: int) -> Fraction:
-    """Largest multiple of 2**-SQRT_SCALE_BITS that is at most sqrt(n)."""
-    scale = 1 << SQRT_SCALE_BITS
-    return Fraction(math.isqrt(n * scale * scale), scale)
-
-
-def _lower_bound(sigma: CosineData) -> Fraction:
-    return Fraction(3 * sigma.eta, max(sigma.d_x, sigma.d_y)) - 2
-
-
 def curvature_bounds(sigma: CosineData, distance: int):
     """Exact lower bound and certified upper bound for the pair's curvature.
 
     lower = 3*eta/(d_x v d_y) - 2 (exact; uses sigma*sqrt(d_x d_y) = eta).
     upper = 1 - (1 - sigma)/distance, exact when sigma is 0 or 1 and
-    otherwise certified from above through a rational sqrt enclosure.
+    otherwise certified from above through a rational sqrt enclosure:
+    r = isqrt(d_x d_y 2**128) gives r/2**64 <= sqrt(d_x d_y), so sigma <=
+    eta 2**64/r. Each bound is one Fraction of two integers.
     """
     if distance is None or distance < 1:
         raise PreconditionError("curvature bounds require a finite distance >= 1")
-    lower = _lower_bound(sigma)
+    eta, d_x, d_y = sigma.eta, sigma.d_x, sigma.d_y
+    m = max(d_x, d_y)
+    lower = Fraction(3 * eta - 2 * m, m)
     if sigma.is_zero():
-        upper = 1 - Fraction(1, distance)
+        upper = Fraction(distance - 1, distance)
     elif sigma.is_one():
         upper = Fraction(1)
     else:
-        # sigma <= eta / sqrt_lo, so this over-estimates the true bound.
-        sqrt_lo = _sqrt_lower(sigma.d_x * sigma.d_y)
-        upper = 1 - (1 - Fraction(sigma.eta) / sqrt_lo) / distance
+        r = math.isqrt(d_x * d_y << 2 * SQRT_SCALE_BITS)
+        upper = Fraction((distance - 1) * r + (eta << SQRT_SCALE_BITS), distance * r)
     return lower, upper
 
 
 def bounds_hold(sigma: CosineData, distance: int, kappa: Fraction) -> bool:
     """Exact check of lower <= kappa <= upper, with no interval slack.
 
-    The upper comparison kappa <= 1 - (1 - sigma)/d is cleared to
-    sigma >= 1 - d(1 - kappa) and squared, so the decision is rational.
+    With kappa = p/q and m = d_x v d_y, the lower bound holds iff
+    p*m >= (3*eta - 2*m)*q. The upper comparison kappa <= 1 - (1 - sigma)/d
+    is cleared to sigma >= t/q with t = q - d(q - p); it holds when t <= 0,
+    and otherwise iff eta**2 q**2 >= t**2 d_x d_y. Integers throughout.
     """
-    if kappa < _lower_bound(sigma):
+    eta, d_x, d_y = sigma.eta, sigma.d_x, sigma.d_y
+    p, q = kappa.numerator, kappa.denominator
+    m = max(d_x, d_y)
+    if p * m < (3 * eta - 2 * m) * q:
         return False
-    threshold = 1 - distance * (1 - kappa)  # sigma must be >= this
-    if threshold <= 0:
-        return True
-    return Fraction(sigma.eta) ** 2 >= threshold**2 * sigma.d_x * sigma.d_y
+    t = q - distance * (q - p)
+    return t <= 0 or eta * eta * q * q >= t * t * d_x * d_y
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,21 @@ All masses and costs are exact: masses are `fractions.Fraction`, costs and
 flows are `int`. W1 is solved by scaling both measures to integers with the
 lcm of their mass denominators. The costs are a distance, so W1 depends only
 on mu - nu: every vertex v in both supports keeps min(mu(v), nu(v)) on the
-cell (v, v), and only the rest is transported. The rows and columns that
-still hold mass go to the primal-dual (Hungarian) method for the
-transportation problem on their bipartite support graph. The solver keeps
-integer duals u (sources) and v (sinks) with u_i + v_j <= c_ij and moves
-mass only along cells where equality holds, so its final duals certify the
-optimum of the transported part. The coupling witness is deterministic:
+cell (v, v), and only the rest is transported. The shared mass is cancelled
+on the integers before any cost is read; only the costs of the rows and
+columns that still hold mass are read, and that block goes to the
+primal-dual (Hungarian) method for the transportation problem on their
+bipartite support graph. The solver keeps integer duals u (sources) and v
+(sinks) with u_i + v_j <= c_ij and moves mass only along cells where
+equality holds, so its final duals certify the optimum of the transported
+part. The coupling witness is deterministic:
 supports are in sorted vertex-id order, and within the transported part
 every scan takes the lowest source index first, then the lowest sink index.
 Every coupling's marginals are checked on its full integer flow; its
-`Fraction` entries are built when first read. W1 and kappa are unique; the
-coupling is one optimal coupling among possibly many.
+`Fraction` entries are built when first read. W1 = total/scale and
+kappa = (d*scale - total)/(d*scale) are each one `Fraction` of two integers.
+W1 and kappa are unique; the coupling is one optimal coupling among possibly
+many.
 
 `curvatures` is the one place where a walk (`SimilarityWalk`) becomes
 measures and curvatures; `orc`, `en_orc` and `ee_orc` are its one-pair
@@ -23,7 +27,8 @@ builds each vertex's measure at most once and each BFS row at most once. A
 row is expanded only as far as the current pair needs (y for d(x, y), supp
 mu_y for the costs), resumed by later pairs, and dropped once no later pair
 reads it. A row no later pair reads stops halfway and meets the targets it
-misses from their side; a one-off d(x, y) is met from both ends.
+misses from their side; a one-off d(x, y) is met from both ends. A source
+whose whole mass is shared gets no row and no cost cell for its pair.
 """
 
 from __future__ import annotations
@@ -42,8 +47,10 @@ from .errors import PreconditionError
 
 def fraction_str(q) -> str:
     """Render an exact rational as 'p' or 'p/q'."""
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if type(q) is not Fraction and type(q) is not int:
+        q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class Measure:
@@ -311,61 +318,84 @@ def _augment(sink, pred_s, pred_d, flow, rem_s, rem_d):
     return amount
 
 
+def _cost_matrix(sources, targets, dist):
+    """Every cell of the sources x targets cost matrix from `dist`, row-major."""
+    cost = []
+    for u in sources:
+        row = []
+        for v in targets:
+            d = 0 if u == v else dist(u, v)
+            if d is None:
+                raise PreconditionError(
+                    "fully dissimilar supports span components: "
+                    f"no path between {u!r} and {v!r}"
+                )
+            row.append(d)
+        cost.append(row)
+    return cost
+
+
+def _matrix_block(cost, sources, targets, shared):
+    """Check a caller's cost matrix; return a reader of its blocks."""
+    if len(cost) != len(sources) or any(len(row) != len(targets) for row in cost):
+        shape = f"{len(sources)} x {len(targets)}"
+        raise PreconditionError(f"cost matrix must be |supp mu| x |supp nu| = {shape}")
+    for v in shared:
+        if cost[bisect_left(sources, v)][bisect_left(targets, v)]:
+            raise PreconditionError(f"cost matrix must be 0 at shared vertex {v!r}")
+
+    def block(rows, cols):
+        if len(rows) == len(sources) and len(cols) == len(targets):
+            return cost
+        return [[cost[i][j] for j in cols] for i in rows]
+
+    return block
+
+
 def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
     """Exact 1-Wasserstein distance and an optimal coupling witness.
 
     `dist` maps a vertex-id pair to a nonnegative integer distance or None
-    for unreachable pairs. Supports must lie in one connected component.
-    A caller that already holds the distances passes `cost` instead: the
-    integer matrix over mu.support() x nu.support(), one row per source;
-    a matrix of any other shape is refused.
+    for unreachable pairs; every cell is asked, and supports must lie in one
+    connected component. A caller that already holds the distances passes
+    `cost` instead: the integer matrix over mu.support() x nu.support(), one
+    row per source; a matrix of any other shape is refused. Or `cost` is a
+    callable `cost(rows, cols)` that returns the block of costs for those
+    source and target positions in support order, one row per source; it is
+    called once, after the shared mass is cancelled, with only the positions
+    that still hold mass.
 
     `dist` or `cost` must be a distance: 0 from a vertex to itself, and
     obeying the triangle inequality. Then W1 depends only on mu - nu, so the
     mass min(mu(v), nu(v)) of every shared vertex v stays on (v, v) and the
-    solver moves only the rest. A `cost` that is not 0 at a shared vertex is
-    refused; the triangle inequality is not checked.
+    solver moves only the rest. A `cost` matrix that is not 0 at a shared
+    vertex is refused; the triangle inequality is not checked.
     """
     sources, targets = mu._support, nu._support
+    # Support order, so that a refusal names the same vertex under any hash seed.
+    shared = sorted(mu.masses.keys() & nu.masses.keys())
     if cost is None:
-        cost = []
-        for u in sources:
-            row = []
-            for v in targets:
-                d = 0 if u == v else dist(u, v)
-                if d is None:
-                    raise PreconditionError(
-                        "fully dissimilar supports span components: "
-                        f"no path between {u!r} and {v!r}"
-                    )
-                row.append(d)
-            cost.append(row)
-    elif len(cost) != len(sources) or any(len(row) != len(targets) for row in cost):
-        shape = f"{len(sources)} x {len(targets)}"
-        raise PreconditionError(f"cost matrix must be |supp mu| x |supp nu| = {shape}")
+        cost = _cost_matrix(sources, targets, dist)
+    if not callable(cost):
+        cost = _matrix_block(cost, sources, targets, shared)
     scale = lcm(mu._den, nu._den)
     supply = mu._integers(scale, len(sources))
     demand = nu._integers(scale, len(targets))
-    # Support order, so that a refusal names the same vertex under any hash seed.
-    shared = sorted(mu.masses.keys() & nu.masses.keys())
-    if not shared:  # nothing to cancel: solve in place, with no sliced copy
-        flow, total, _, _ = _solve_transport(supply, demand, cost)
+    if not shared:  # nothing to cancel: the solver's flow is the whole flow
+        everything = range(len(sources)), range(len(targets))
+        flow, total, _, _ = _solve_transport(supply, demand, cost(*everything))
     else:  # shared mass stays on (v, v); the solver moves the rest
         flow = [[0] * len(targets) for _ in sources]
         rest_s, rest_d = list(supply), list(demand)
         for v in shared:
             i, j = bisect_left(sources, v), bisect_left(targets, v)
-            if cost[i][j]:
-                raise PreconditionError(f"cost matrix must be 0 at shared vertex {v!r}")
             q = flow[i][j] = min(supply[i], demand[j])
             rest_s[i] -= q
             rest_d[j] -= q
         rows = [i for i, q in enumerate(rest_s) if q]
         cols = [j for j, q in enumerate(rest_d) if q]
         part, total, _, _ = _solve_transport(
-            [rest_s[i] for i in rows],
-            [rest_d[j] for j in cols],
-            [[cost[i][j] for j in cols] for i in rows],
+            [rest_s[i] for i in rows], [rest_d[j] for j in cols], cost(rows, cols)
         )
         for i, got in zip(rows, part):
             row = flow[i]
@@ -462,31 +492,57 @@ class _Batch:
                 raise PreconditionError(
                     f"{x!r} and {y!r} lie in different connected components"
                 )
+        w1, coupling = wasserstein1(mu, nu, cost=_PairCosts(self, sources, targets, d))
+        # kappa = 1 - w1/d over one denominator, normalised once.
+        p, q = w1.numerator, d * w1.denominator
+        return CurvatureResult(
+            kappa=Fraction(q - p, q), w1=w1, distance=d, coupling=coupling
+        )
+
+
+class _PairCosts:
+    """One pair's cost matrix over supp mu_x x supp mu_y, read where asked.
+
+    `wasserstein1` calls it with the source and target positions that still
+    hold mass, so a source whose whole mass is shared gets no BFS row and no
+    cost cell. Iterating it reads every row in full.
+    """
+
+    __slots__ = ("batch", "sources", "targets", "d")
+
+    def __init__(self, batch, sources, targets, d):
+        self.batch, self.sources, self.targets, self.d = batch, sources, targets, d
+
+    def __iter__(self):
+        return iter(self(range(len(self.sources)), range(len(self.targets))))
+
+    def __call__(self, rows, cols):
+        """Costs from the sources at positions `rows` to the targets at `cols`."""
+        batch, adj, sources = self.batch, self.batch.adj, self.sources
+        kept = [self.targets[j] for j in cols]
         # Every cost is at most d + 2. A row no later pair reads stops once it
         # holds every vertex within r1 hops; a target v it misses lies further
         # off, and a shortest path to it passes within r1 hops at exactly r2
         # hops from v, so d(s, v) = r2 + min(dist_s over v's ring at r2 hops).
-        r1 = (d + 3) // 2
-        r2 = d + 2 - r1
+        r1 = (self.d + 3) // 2
+        r2 = self.d + 2 - r1
         rings = {}  # target -> the vertices exactly r2 hops from it
         cost = []
-        for s in sources:
-            row = self._row(s)
-            if s in self.rows:  # a later pair reads it: expand as far as needed
-                dist = row.reach(self.adj, targets)
+        for i in rows:
+            s = sources[i]
+            row = batch._row(s)
+            if s in batch.rows:  # a later pair reads it: expand as far as needed
+                dist = row.reach(adj, kept)
             else:  # dropped after this pair, so its dist may take far costs
-                dist = row.reach(self.adj, targets, r1)
-                for t in targets:
+                dist = row.reach(adj, kept, r1)
+                for t in kept:
                     if t not in dist:
                         if t not in rings:
-                            around = BfsRow(t).reach(self.adj, radius=r2)
+                            around = BfsRow(t).reach(adj, radius=r2)
                             rings[t] = [w for w, k in around.items() if k == r2]
                         dist[t] = r2 + min(dist[w] for w in rings[t] if w in dist)
-            cost.append([dist[t] for t in targets])
-        w1, coupling = wasserstein1(mu, nu, cost=cost)
-        return CurvatureResult(
-            kappa=1 - Fraction(w1, d), w1=w1, distance=d, coupling=coupling
-        )
+            cost.append([dist[t] for t in kept])
+        return cost
 
 
 def curvatures(structure, pairs, walk):

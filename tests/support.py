@@ -4,6 +4,7 @@ The W1 oracle enumerates basic couplings by recursive cell saturation, which
 is exponential but exact and entirely independent of the library solver.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -215,6 +216,57 @@ def networkx_w1(mu, nu, dist):
         for v in nu.support():
             net.add_edge(("s", u), ("t", v), weight=0 if u == v else dist(u, v))
     return Fraction(nx.min_cost_flow_cost(net), scale)
+
+
+# The curvature bounds as Fraction formulas, as similarity.py computed them
+# before it decided them in integers; the integer versions are tested against
+# these.
+SQRT_SCALE_BITS = 64  # rational sqrt enclosure denominator 2**64
+
+
+def _sqrt_lower(n: int) -> Fraction:
+    """Largest multiple of 2**-SQRT_SCALE_BITS that is at most sqrt(n)."""
+    scale = 1 << SQRT_SCALE_BITS
+    return Fraction(math.isqrt(n * scale * scale), scale)
+
+
+def _lower_bound(sigma) -> Fraction:
+    return Fraction(3 * sigma.eta, max(sigma.d_x, sigma.d_y)) - 2
+
+
+def fraction_curvature_bounds(sigma, distance: int):
+    """Exact lower bound and certified upper bound for the pair's curvature.
+
+    lower = 3*eta/(d_x v d_y) - 2 (exact; uses sigma*sqrt(d_x d_y) = eta).
+    upper = 1 - (1 - sigma)/distance, exact when sigma is 0 or 1 and
+    otherwise certified from above through a rational sqrt enclosure.
+    """
+    if distance is None or distance < 1:
+        raise PreconditionError("curvature bounds require a finite distance >= 1")
+    lower = _lower_bound(sigma)
+    if sigma.is_zero():
+        upper = 1 - Fraction(1, distance)
+    elif sigma.is_one():
+        upper = Fraction(1)
+    else:
+        # sigma <= eta / sqrt_lo, so this over-estimates the true bound.
+        sqrt_lo = _sqrt_lower(sigma.d_x * sigma.d_y)
+        upper = 1 - (1 - Fraction(sigma.eta) / sqrt_lo) / distance
+    return lower, upper
+
+
+def fraction_bounds_hold(sigma, distance: int, kappa: Fraction) -> bool:
+    """Exact check of lower <= kappa <= upper, with no interval slack.
+
+    The upper comparison kappa <= 1 - (1 - sigma)/d is cleared to
+    sigma >= 1 - d(1 - kappa) and squared, so the decision is rational.
+    """
+    if kappa < _lower_bound(sigma):
+        return False
+    threshold = 1 - distance * (1 - kappa)  # sigma must be >= this
+    if threshold <= 0:
+        return True
+    return Fraction(sigma.eta) ** 2 >= threshold**2 * sigma.d_x * sigma.d_y
 
 
 def _pairs_in_order(structure, p):

@@ -279,13 +279,17 @@ class TestCycles:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 5))
     def test_k_cycles_budget_is_one_unit_per_directed_path(self, seed, k):
+        # One unit per directed path of at most k - 1 steps whose vertices
+        # all lie above its start: the DFS enters no vertex below its start.
         g = random_connected_graph(random.Random(seed), max_vertices=8)
         nxg = to_networkx(g)
         cost = sum(
-            len(list(nx.all_simple_paths(nxg, s, t, cutoff=k - 1)))
+            1
             for s in nxg
             for t in nxg
             if s != t
+            for path in nx.all_simple_paths(nxg, s, t, cutoff=k - 1)
+            if all(g.index[v] > g.index[s] for v in path[1:])
         )
         assert g.k_cycles(k, work_budget=cost) == g.k_cycles(k)
         with pytest.raises(ResourceCapError, match="path enumeration exceeded work budget"):

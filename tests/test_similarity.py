@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivcurv import (
+    CosineData,
     Hypergraph,
     PreconditionError,
     SimilarityWalk,
@@ -25,6 +26,8 @@ from equivcurv import (
 )
 
 from support import (
+    fraction_bounds_hold,
+    fraction_curvature_bounds,
     random_connected_graph,
     random_pair_list,
     random_structure,
@@ -59,6 +62,70 @@ class TestCosineData:
         g = Graph(["a", "b", "c"], [("a", "b")])
         with pytest.raises(PreconditionError):
             cosine_similarity(g, "a", "c")
+
+
+@st.composite
+def bound_cases(draw):
+    """(sigma, distance, kappa) with kappa near the edges of both bounds."""
+    d_x, d_y = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    eta = draw(st.integers(0, min(d_x, d_y)))
+    if draw(st.booleans()):  # sigma = 1 needs eta = d_x = d_y
+        d_y = eta = d_x
+    sigma = CosineData(eta, d_x, d_y)
+    distance = draw(st.integers(1, 6))
+    lower, upper = fraction_curvature_bounds(sigma, distance)
+    shift = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 10**6)))
+    kappa = draw(
+        st.sampled_from(
+            [
+                lower,  # exactly at the lower bound
+                upper,  # exactly at the certified upper bound
+                1 - Fraction(1, distance),  # t = 0: the upper bound holds outright
+                Fraction(1),
+            ]
+        )
+        | st.fractions(min_value=-3, max_value=1, max_denominator=10**4)
+    )
+    return sigma, distance, kappa + shift * draw(st.sampled_from([0, 1]))
+
+
+class TestIntegerBounds:
+    """The integer bounds equal the Fraction formulas they replace."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(bound_cases())
+    def test_equal_to_the_fraction_formulas(self, case):
+        sigma, distance, kappa = case
+        assert bounds_hold(sigma, distance, kappa) == fraction_bounds_hold(
+            sigma, distance, kappa
+        )
+        got = curvature_bounds(sigma, distance)
+        assert got == fraction_curvature_bounds(sigma, distance)
+        assert all(type(b) is Fraction for b in got)
+
+    @pytest.mark.parametrize(
+        "eta, d_x, d_y, distance, kappa, holds",
+        [
+            (1, 3, 2, 3, Fraction(2, 3), True),  # t = 0
+            (1, 3, 2, 3, Fraction(1, 2), True),  # t < 0
+            (2, 3, 2, 1, Fraction(0), True),  # kappa exactly at the lower bound
+            (2, 3, 2, 1, Fraction(-1, 10**9), False),  # just below it
+            (0, 3, 2, 2, Fraction(1, 2), True),  # sigma = 0, kappa at the upper bound
+            (0, 3, 2, 2, Fraction(1, 2) + Fraction(1, 10**9), False),
+            (3, 3, 3, 2, Fraction(1), True),  # sigma = 1
+            (2, 3, 3, 2, Fraction(5, 6), True),  # exactly at the true upper bound
+            (2, 3, 3, 2, Fraction(5, 6) + Fraction(1, 10**9), False),
+            (1, 2, 3, 2, Fraction(2, 3), True),  # d_x d_y = 6, not a square
+            (1, 2, 3, 2, Fraction(71, 100), False),
+        ],
+    )
+    def test_edges(self, eta, d_x, d_y, distance, kappa, holds):
+        sigma = CosineData(eta, d_x, d_y)
+        assert bounds_hold(sigma, distance, kappa) is holds
+        assert fraction_bounds_hold(sigma, distance, kappa) is holds
+        assert curvature_bounds(sigma, distance) == fraction_curvature_bounds(
+            sigma, distance
+        )
 
 
 class TestBounds:

@@ -1,10 +1,12 @@
 """Exact W1 / curvature machinery against brute-force and networkx oracles."""
 
 import importlib.util
+import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -22,6 +24,7 @@ from equivcurv import (
     Hypergraph,
     Measure,
     PreconditionError,
+    UnknownVertexError,
     ee_measure,
     ee_orc,
     en_measure,
@@ -709,10 +712,10 @@ class TestSolverDuals:
         assert [sum(col) for col in zip(*flow)] == demand
 
 
-def _bench_workloads():
-    """The benchmark's seeded input generators, bench/workloads.py."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name):
+    """The benchmark's module bench/<name>.py, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look the module up
     spec.loader.exec_module(module)
@@ -757,7 +760,7 @@ def _walk_structures():
     for name in fixtures.HYPERGRAPHS:
         h = fixtures.hypergraph(name)
         out += [(h, SimilarityWalk.EN), (h, SimilarityWalk.EE)]
-    graph1 = _bench_workloads().graph_all_pairs(1).inputs[0]
+    graph1 = _bench_module("workloads").graph_all_pairs(1).inputs[0]
     assert graph1.filename == "graph1.edges"
     return out + [(parse_graph(graph1.text), SimilarityWalk.GRAPH)]
 
@@ -865,3 +868,100 @@ class TestMeasureIntegerChecks:
             assert want is None
             assert mu.masses == {v: m for v, m in masses.items() if m != 0}
             assert mu.support() == sorted(mu.masses)
+
+
+@contextmanager
+def batch_reads():
+    """Record every `_Batch._row` source and every cost block `wasserstein1` reads.
+
+    Yields (rows, blocks): the source ids whose BFS row was asked for, and the
+    (source ids, target ids, costs) of each block read.
+    """
+    import equivcurv.transport as transport
+
+    rows, blocks = [], []
+    get_row, solve = transport._Batch._row, transport.wasserstein1
+
+    def row(batch, s):
+        rows.append(batch.structure.vertices[s])
+        return get_row(batch, s)
+
+    def recording(mu, nu, dist=None, *, cost=None):
+        def block(kept_rows, kept_cols):
+            got = cost(kept_rows, kept_cols)
+            sources = [mu.support()[i] for i in kept_rows]
+            blocks.append((sources, [nu.support()[j] for j in kept_cols], got))
+            return got
+
+        return solve(mu, nu, dist, cost=block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport._Batch, "_row", row)
+        patch.setattr(transport, "wasserstein1", recording)
+        yield rows, blocks
+
+
+class TestSkippedRows:
+    """A source whose whole mass is shared gets no BFS row and no cost cell."""
+
+    def test_shared_sources_are_never_read(self, monkeypatch):
+        import equivcurv.transport as transport
+
+        created = []
+
+        class CountingRow(transport.BfsRow):
+            def __init__(self, s):
+                created.append(g.vertices[s])
+                super().__init__(s)
+
+        monkeypatch.setattr(transport, "BfsRow", CountingRow)
+        # x and y both have degree 3 and share a and b, whose mass cancels.
+        g = parse_graph("x a\nx b\nx p\ny a\ny b\ny q\np q\n")
+        with batch_reads() as (rows, blocks):
+            result = orc(g, "x", "y")
+        assert (result.distance, result.w1, result.kappa) == (2, Fraction(1, 3), Fraction(5, 6))
+        assert blocks == [(["p"], ["q"], [[1]])]
+        assert rows == ["p"]
+        assert created == ["p"]  # a one-off d(x, y) is met from both ends in core
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from(list(SimilarityWalk)))
+    def test_batch_reads_only_rows_and_columns_with_mass(self, seed, walk):
+        rng = random.Random(seed)
+        structure = random_structure(rng, walk)
+        pairs = random_pair_list(rng, structure)
+        measure = TestSharedMass.MEASURE[walk]
+        with batch_reads() as (rows, blocks):
+            results = curvatures(structure, pairs, walk)
+            for x, y in pairs:  # what each pair of the batch reads
+                del rows[:], blocks[:]
+                try:
+                    next(results)
+                except (PreconditionError, UnknownVertexError):
+                    break  # the first failing pair ends the run
+                mu, nu = measure(structure, x), measure(structure, y)
+                give = [u for u in mu.support() if mu[u] > nu[u]]
+                take = [v for v in nu.support() if nu[v] > mu[v]]
+                assert [(s, t) for s, t, _ in blocks] == [(give, take)]
+                assert set(rows) <= {x, *give}  # x's own row may answer d(x, y)
+
+
+class TestTracedSolve:
+    """bench/tracing.py, loaded as the benchmark loads it, times every solve."""
+
+    def test_every_pair_of_curv_all_is_one_traced_solve(self, capsys):
+        from equivcurv.cli import main
+
+        tracing = _bench_module("tracing")
+        path = Path(__file__).resolve().parents[1] / "fixtures" / "p9.edges"
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.root(main.main, ["curv", str(path), "--all"], standalone_mode=False)
+        finally:
+            tracer.uninstall()
+        pairs = json.loads(capsys.readouterr().out)["pairs"]
+        metrics = tracing.layer_metrics(tracer)
+        assert len(pairs) == 9 * 8 // 2
+        assert metrics["transport.w1_calls"] == len(pairs)
+        assert metrics["transport.w1_s"] > 0

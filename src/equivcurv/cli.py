@@ -8,56 +8,57 @@ Output is deterministic: identical invocations produce identical stdout.
 from __future__ import annotations
 
 import functools
-import json
+import importlib.util
 import os
 import sys
-from fractions import Fraction
 
 import click
 
-from . import fixtures as fixture_corpus
 from .core import Graph, Partition, parse_graph, parse_hypergraph
-from .equivalence import (
-    is_regular_partition,
-    is_strong_regular_partition,
-    is_strong_structural,
-    is_strong_structural_partition,
-    is_structural_partition,
-    is_weak_regular_partition,
-    is_weak_structural,
-    is_weak_structural_partition,
-)
 from .errors import (
     ParseError,
     PreconditionError,
     ResourceCapError,
     UnknownVertexError,
 )
-from .neighborhood import (
-    DEFAULT_PATH_CAP,
-    WalkMode,
-    hyper_neighborhood_graph,
-    inclusion_check,
-    neighborhood_graph,
-)
-from .partitions import (
-    RemovalSet,
-    regular_from_curvature_subcliques,
-    regular_from_g2,
-    regular_from_gn,
-    regular_from_kcycle_removal,
-    regular_from_triangle_removal,
-    structural_from_curvature,
-    weak_regular_from_h2,
-    weak_regular_from_hn,
-)
-from .similarity import (  # similarity_report stays a name here for bench/tracing.py
-    CosineData,
-    bounds_hold,
-    similarity_report,  # noqa: F401
-    similarity_reports,
-)
-from .transport import SimilarityWalk, curvatures, ee_orc, en_orc, fraction_str, orc
+
+
+def _lazy(name):
+    """The submodule `name`, registered now and executed on its first attribute read.
+
+    Each command runs only the layers it reads. The module object is the one
+    `import equivcurv.<name>` gives, so code that looks layers up in
+    `sys.modules` finds all of them.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+equivalence = _lazy("equivalence")
+fixtures = _lazy("fixtures")
+neighborhood = _lazy("neighborhood")
+partitions = _lazy("partitions")
+similarity = _lazy("similarity")
+transport = _lazy("transport")
+
+# bench/test_bench.py reads cli.orc and cli.similarity_report. Forwarded on
+# read, they leave transport and similarity unloaded until a command uses them.
+_FORWARDED = {"orc": "transport", "similarity_report": "similarity"}
+
+
+def __getattr__(name):
+    if name in _FORWARDED:
+        return getattr(globals()[_FORWARDED[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
@@ -65,12 +66,19 @@ EXIT_CAP = 4
 
 def _path_cap():
     value = os.environ.get("EQUIVCURV_PATH_CAP")
+    if not value:
+        return neighborhood.DEFAULT_PATH_CAP
     try:
-        return int(value) if value else DEFAULT_PATH_CAP
+        cap = int(value)
     except ValueError:
         raise ParseError(
             f"EQUIVCURV_PATH_CAP must be an integer, got {value!r}"
         ) from None
+    if cap < 1:
+        raise ParseError(
+            f"EQUIVCURV_PATH_CAP must be a positive integer, got {value!r}"
+        )
+    return cap
 
 
 def _exit_codes(func):
@@ -110,6 +118,8 @@ def _read(path):
 
 
 def _emit_json(data):
+    import json
+
     click.echo(json.dumps(data, indent=2))
 
 
@@ -122,7 +132,7 @@ def main():
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", required=True, type=int, help="Neighbourhood order.")
 @click.option("--mode", default="path",
-              type=click.Choice(sorted(m.value for m in WalkMode)))
+              type=click.Choice(["nb", "path", "walk"]))  # WalkMode's values
 @click.option("--hyper", is_flag=True, help="Parse the input as a hypergraph.")
 @click.option("--check-inclusions", is_flag=True, help="Also verify the mode chain.")
 @_exit_codes
@@ -135,17 +145,19 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
         if check_inclusions:
             raise PreconditionError("inclusion checks apply to graphs only")
         structure = _load_hypergraph(input_file)
-        result = hyper_neighborhood_graph(structure, n, path_cap=cap)
+        result = neighborhood.hyper_neighborhood_graph(structure, n, path_cap=cap)
     else:
         structure = _load_graph(input_file)
-        result = neighborhood_graph(structure, n, WalkMode(mode), path_cap=cap)
+        result = neighborhood.neighborhood_graph(
+            structure, n, neighborhood.WalkMode(mode), path_cap=cap
+        )
     ids = result.graph.vertices
     lines = [f"{ids[i]} {ids[j]}\n" for i, j in result.graph.edge_pairs()]
     blocks = result.graph.connected_components().blocks
     lines += [f"block {' '.join(block)}\n" for block in blocks]
     click.echo("".join(lines), nl=False)  # one write, not one per line
     if check_inclusions:
-        report = inclusion_check(structure, n, path_cap=cap)
+        report = neighborhood.inclusion_check(structure, n, path_cap=cap)
         click.echo(f"inclusions {'ok' if report.holds else 'VIOLATED'}")
         if not report.holds:
             sys.exit(EXIT_PRECONDITION)
@@ -165,10 +177,10 @@ def _pairs_input(input_file, pairs, all_pairs, hyper, walk):
     """Check the pair options and the walk, load the input, list the pairs."""
     if not pairs and not all_pairs:
         raise click.UsageError("provide --pair X Y or --all")
-    walk = SimilarityWalk(walk)
-    if hyper and walk is SimilarityWalk.GRAPH:
+    walk = transport.SimilarityWalk(walk)
+    if hyper and walk is transport.SimilarityWalk.GRAPH:
         raise click.UsageError("use --walk en or --walk ee with --hyper")
-    if not hyper and walk is not SimilarityWalk.GRAPH:
+    if not hyper and walk is not transport.SimilarityWalk.GRAPH:
         raise click.UsageError("--walk en/ee requires --hyper")
     structure = _load_hypergraph(input_file) if hyper else _load_graph(input_file)
     wanted = list(pairs) if pairs else list(_component_pairs(structure))
@@ -189,15 +201,16 @@ def cmd_curvature(input_file, pairs, all_pairs, hyper, walk):
     structure, walk, wanted = _pairs_input(
         input_file, pairs, all_pairs, hyper, walk if hyper else "graph"
     )
+    results = transport.curvatures(structure, wanted, walk)
     rows = [
         {
             "x": x,
             "y": y,
             "distance": result.distance,
-            "w1": fraction_str(result.w1),
-            "kappa": fraction_str(result.kappa),
+            "w1": transport.fraction_str(result.w1),
+            "kappa": transport.fraction_str(result.kappa),
         }
-        for (x, y), result in zip(wanted, curvatures(structure, wanted, walk))
+        for (x, y), result in zip(wanted, results)
     ]
     _emit_json({"pairs": rows})
 
@@ -236,44 +249,44 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
     if method in ("h2", "hn"):
         h = _load_hypergraph(input_file)
         if method == "h2":
-            report = weak_regular_from_h2(h, path_cap=cap)
+            report = partitions.weak_regular_from_h2(h, path_cap=cap)
         else:
             if n is None:
                 raise click.UsageError("--n is required for method hn")
-            report = weak_regular_from_hn(h, n, path_cap=cap)
+            report = partitions.weak_regular_from_hn(h, n, path_cap=cap)
     else:
         g = _load_graph(input_file)
         if method == "g2":
-            report = regular_from_g2(g, path_cap=cap)
+            report = partitions.regular_from_g2(g, path_cap=cap)
         elif method == "gn":
             if n is None:
                 raise click.UsageError("--n is required for method gn")
-            report = regular_from_gn(g, n, path_cap=cap)
+            report = partitions.regular_from_gn(g, n, path_cap=cap)
         elif method == "structural":
-            report = structural_from_curvature(g)
+            report = partitions.structural_from_curvature(g)
         elif method == "subcliques":
             if not chosen:
                 raise click.UsageError("--block is required for method subcliques")
             sets = [c.split(",") for c in chosen]
-            report = regular_from_curvature_subcliques(g, sets)
+            report = partitions.regular_from_curvature_subcliques(g, sets)
         elif method == "triangle-removal":
-            removal = RemovalSet.of(_parse_edge_options(removed))
-            report = regular_from_triangle_removal(g, removal, path_cap=cap)
+            removal = partitions.RemovalSet.of(_parse_edge_options(removed))
+            report = partitions.regular_from_triangle_removal(g, removal, path_cap=cap)
         else:
             if k is None:
                 raise click.UsageError("--k is required for method kcycle-removal")
-            removal = RemovalSet.of(_parse_edge_options(removed))
-            report = regular_from_kcycle_removal(g, k, removal, path_cap=cap)
+            removal = partitions.RemovalSet.of(_parse_edge_options(removed))
+            report = partitions.regular_from_kcycle_removal(g, k, removal, path_cap=cap)
     _emit_json(report.to_json())
 
 
 _VERIFIERS = {
-    "structural": is_structural_partition,
-    "regular": is_regular_partition,
-    "weak-structural": is_weak_structural_partition,
-    "strong-structural": is_strong_structural_partition,
-    "weak-regular": is_weak_regular_partition,
-    "strong-regular": is_strong_regular_partition,
+    "structural": "is_structural_partition",
+    "regular": "is_regular_partition",
+    "weak-structural": "is_weak_structural_partition",
+    "strong-structural": "is_strong_structural_partition",
+    "weak-regular": "is_weak_regular_partition",
+    "strong-regular": "is_strong_regular_partition",
 }
 
 
@@ -284,6 +297,8 @@ _VERIFIERS = {
 @_exit_codes
 def cmd_verify(input_file, partition_file, notion):
     """Verify a partition (JSON {"blocks": [...]}) against an equivalence notion."""
+    import json
+
     try:
         partition = Partition.from_json(json.loads(_read(partition_file)))
     except json.JSONDecodeError as exc:
@@ -294,7 +309,8 @@ def cmd_verify(input_file, partition_file, notion):
         structure, kind = _load_hypergraph(input_file), "hypergraph"
     if not partition.covers(structure.vertices):
         raise ParseError(f"partition does not cover the {kind}'s vertex set")
-    _emit_json(_VERIFIERS[notion](structure, partition).to_json())
+    verifier = getattr(equivalence, _VERIFIERS[notion])
+    _emit_json(verifier(structure, partition).to_json())
 
 
 def _sim_row(report, sigma):
@@ -306,12 +322,12 @@ def _sim_row(report, sigma):
         "d_y": report.d_y,
         "sigma": f"{sigma.value:.12f}",
         "distance": report.distance,
-        "kappa": None if report.kappa is None else fraction_str(report.kappa),
+        "kappa": None if report.kappa is None else transport.fraction_str(report.kappa),
         "fully_dissimilar": report.fully_dissimilar,
     }
     if report.lower_bound is not None:
-        row["lower_bound"] = fraction_str(report.lower_bound)
-        row["upper_bound"] = fraction_str(report.upper_bound)
+        row["lower_bound"] = transport.fraction_str(report.lower_bound)
+        row["upper_bound"] = transport.fraction_str(report.upper_bound)
     return row
 
 
@@ -321,7 +337,7 @@ def _sim_row(report, sigma):
 @click.option("--all", "all_pairs", is_flag=True)
 @click.option("--hyper", is_flag=True)
 @click.option("--walk", default="graph",
-              type=click.Choice(sorted(w.value for w in SimilarityWalk)))
+              type=click.Choice(["ee", "en", "graph"]))  # SimilarityWalk's values
 @click.option("--check-bounds", is_flag=True,
               help="Exit nonzero if any curvature bound is violated.")
 @_exit_codes
@@ -330,11 +346,11 @@ def cmd_similarity(input_file, pairs, all_pairs, hyper, walk, check_bounds):
     structure, walk, wanted = _pairs_input(input_file, pairs, all_pairs, hyper, walk)
     rows = []
     violations = 0
-    for report in similarity_reports(structure, wanted, walk):
-        sigma = CosineData(report.eta, report.d_x, report.d_y)
+    for report in similarity.similarity_reports(structure, wanted, walk):
+        sigma = similarity.CosineData(report.eta, report.d_x, report.d_y)
         rows.append(_sim_row(report, sigma))
         if check_bounds and report.kappa is not None and not hyper:
-            if not bounds_hold(sigma, report.distance, report.kappa):
+            if not similarity.bounds_hold(sigma, report.distance, report.kappa):
                 violations += 1
     _emit_json({"pairs": rows})
     if check_bounds and violations:
@@ -344,57 +360,61 @@ def cmd_similarity(input_file, pairs, all_pairs, hyper, walk, check_bounds):
 
 def _fixture_checks():
     """Checks over the bundled corpus; yields (name, bool)."""
-    c6 = fixture_corpus.graph("c6")
+    c6 = fixtures.graph("c6")
     counts = [
-        len(neighborhood_graph(c6, n).graph.connected_components().blocks)
+        len(neighborhood.neighborhood_graph(c6, n).graph.connected_components().blocks)
         for n in range(1, 7)
     ]
     yield "c6 component counts 1,2,3,2,1,6", counts == [1, 2, 3, 2, 1, 6]
-    edge_sets = [neighborhood_graph(c6, n).graph.edge_pairs() for n in range(1, 7)]
+    edge_sets = [
+        neighborhood.neighborhood_graph(c6, n).graph.edge_pairs() for n in range(1, 7)
+    ]
     yield "c6 G2 = G4 and G1 = G5", (
         edge_sets[1] == edge_sets[3] and edge_sets[0] == edge_sets[4]
     )
-    yield "c6 adjacent curvature 0", orc(c6, "1", "2").kappa == 0
+    yield "c6 adjacent curvature 0", transport.orc(c6, "1", "2").kappa == 0
 
-    fig3 = fixture_corpus.graph("fig3")
-    yield "fig3 kappa(a,b) = 1", orc(fig3, "a", "b").kappa == 1
-    yield "fig3 kappa(a,c) < 1", orc(fig3, "a", "c").kappa < 1
+    fig3 = fixtures.graph("fig3")
+    yield "fig3 kappa(a,b) = 1", transport.orc(fig3, "a", "b").kappa == 1
+    yield "fig3 kappa(a,c) < 1", transport.orc(fig3, "a", "c").kappa < 1
 
-    h5 = fixture_corpus.graph("h5")
-    report = regular_from_g2(h5)
+    h5 = fixtures.graph("h5")
+    report = partitions.regular_from_g2(h5)
     expected = Partition([("a", "e"), ("b", "c", "d")])
     yield "h5 G2 blocks {a,e},{b,c,d} regular", (
         report.verified and report.partition == expected
     )
 
-    p9 = fixture_corpus.graph("p9")
+    p9 = fixtures.graph("p9")
     figure = Partition([("3", "9"), ("1", "2", "4", "5", "6", "7", "8")])
-    witness = is_regular_partition(p9, figure)
+    witness = equivalence.is_regular_partition(p9, figure)
     yield "p9 two-block figure partition not regular", not witness.verdict
 
-    l3 = fixture_corpus.graph("l3")
+    l3 = fixtures.graph("l3")
     partition = Partition([("1", "4"), ("2", "3")])
-    yield "l3 endpoint/interior partition regular", is_regular_partition(
+    yield "l3 endpoint/interior partition regular", equivalence.is_regular_partition(
         l3, partition
     ).verdict
 
-    hx = fixture_corpus.hypergraph("hx")
-    yield "hx EN-ORC(x,y) = 1", en_orc(hx, "x", "y").kappa == 1
-    yield "hx EE-ORC(x,y) = 1", ee_orc(hx, "x", "y").kappa == 1
+    hx = fixtures.hypergraph("hx")
+    yield "hx EN-ORC(x,y) = 1", transport.en_orc(hx, "x", "y").kappa == 1
+    yield "hx EE-ORC(x,y) = 1", transport.ee_orc(hx, "x", "y").kappa == 1
     yield "hx weak but not strong structural", (
-        is_weak_structural(hx, "x", "y") and not is_strong_structural(hx, "x", "y")
+        equivalence.is_weak_structural(hx, "x", "y")
+        and not equivalence.is_strong_structural(hx, "x", "y")
     )
 
-    h1 = fixture_corpus.hypergraph("h1")
-    yield "h1 EN-ORC(x,y) = 1", en_orc(h1, "x", "y").kappa == 1
-    yield "h1 EE-ORC(x,y) != 1", ee_orc(h1, "x", "y").kappa != 1
+    h1 = fixtures.hypergraph("h1")
+    yield "h1 EN-ORC(x,y) = 1", transport.en_orc(h1, "x", "y").kappa == 1
+    yield "h1 EE-ORC(x,y) != 1", transport.ee_orc(h1, "x", "y").kappa != 1
     yield "h1 weak but not strong structural", (
-        is_weak_structural(h1, "x", "y") and not is_strong_structural(h1, "x", "y")
+        equivalence.is_weak_structural(h1, "x", "y")
+        and not equivalence.is_strong_structural(h1, "x", "y")
     )
 
     for name in ("c6", "p9", "fig3", "h5", "g3"):
-        g = fixture_corpus.graph(name)
-        yield f"{name} inclusion chain at n=4", inclusion_check(g, 4).holds
+        g = fixtures.graph(name)
+        yield f"{name} inclusion chain at n=4", neighborhood.inclusion_check(g, 4).holds
 
 
 @main.command("fixtures")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .core import Graph, Hypergraph, Partition
 from .errors import PreconditionError
-from .transport import ee_measure, ee_weights
 
 
 @dataclass(frozen=True)
@@ -217,6 +216,9 @@ def hierarchy_level(h: Hypergraph, x, y) -> set:
     STRONG: a bijection of the incidence stars of x and y preserving hyperedge
     contents (hence cardinalities with multiplicity).
     """
+    # Imported here, so that loading the verifiers does not load transport.
+    from .transport import ee_measure, ee_weights
+
     if h.has_loops():
         raise PreconditionError("hierarchy levels require a loop-free hypergraph")
     levels = set()

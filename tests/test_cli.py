@@ -346,6 +346,21 @@ class TestBadInput:
             "error: EQUIVCURV_PATH_CAP must be an integer, got 'abc'"
         ]
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command",
+        [["neigh", "--n", "2"], ["partition", "--method", "g2"]],
+        ids=["neigh", "partition"],
+    )
+    def test_non_positive_path_cap(self, runner, c6, monkeypatch, value, command):
+        monkeypatch.setenv("EQUIVCURV_PATH_CAP", value)
+        result = runner.invoke(main, [command[0], c6, *command[1:]])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: EQUIVCURV_PATH_CAP must be a positive integer, got '{value}'"
+        ]
+
     @pytest.mark.parametrize(
         "blocks",
         [[["1", "2"], ["2", "3", "4"]], [["1", "2", "3", "4"], []]],

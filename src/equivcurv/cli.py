@@ -1,26 +1,21 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library alone.
 
 Commands: neigh, curv, partition, verify, sim, fixtures. Exit codes:
 0 success, 2 input error, 3 precondition/domain error, 4 resource-cap error.
 Output is deterministic: identical invocations produce identical stdout.
+`COMMANDS`, at the end, describes every command's arguments; a command line
+that does not fit it prints one `error: ...` line and exits 2.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
 import importlib.util
 import os
 import sys
 
-import click
-
 from .core import Graph, Partition, parse_graph, parse_hypergraph
-from .errors import (
-    ParseError,
-    PreconditionError,
-    ResourceCapError,
-    UnknownVertexError,
-)
+from .errors import EquivCurvError, ParseError, PreconditionError
 
 
 def _lazy(name):
@@ -60,20 +55,15 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-EXIT_INPUT = 2
-EXIT_PRECONDITION = 3
-EXIT_CAP = 4
+class UsageError(ParseError):
+    """A command line that does not fit `COMMANDS`: malformed input, exit 2."""
+
 
 def _path_cap():
     value = os.environ.get("EQUIVCURV_PATH_CAP")
     if not value:
         return neighborhood.DEFAULT_PATH_CAP
-    try:
-        cap = int(value)
-    except ValueError:
-        raise ParseError(
-            f"EQUIVCURV_PATH_CAP must be an integer, got {value!r}"
-        ) from None
+    cap = _integer("EQUIVCURV_PATH_CAP", value)
     if cap < 1:
         raise ParseError(
             f"EQUIVCURV_PATH_CAP must be a positive integer, got {value!r}"
@@ -81,24 +71,11 @@ def _path_cap():
     return cap
 
 
-def _exit_codes(func):
-    """Map package exceptions to the documented exit codes."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except ParseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except (PreconditionError, UnknownVertexError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PRECONDITION)
-        except ResourceCapError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CAP)
-
-    return wrapper
+def _integer(name, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _load_graph(path):
@@ -117,25 +94,35 @@ def _read(path):
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
 
 
-def _emit_json(data):
-    import json
+def json_text(data):
+    """`json.dumps(data, indent=2)`, byte for byte, for dicts with str keys, lists,
+    str, int, bool and None. With an indent `json.dumps` runs its Python encoder;
+    this lays the text out in one pass and quotes each str with the C encoder."""
+    from json.encoder import encode_basestring_ascii as quote
 
-    click.echo(json.dumps(data, indent=2))
+    # Scalars by exact type, so that a bool is not written as an int.
+    scalar = {str: quote, int: int.__repr__, type(None): lambda _: "null",
+              bool: {True: "true", False: "false"}.__getitem__}.get
+
+    def render(value, indent):
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{quote(k)}: {w(v) if (w := scalar(type(v))) else render(v, inner)}"
+                     for k, v in value.items()]
+            brackets = "{}"
+        elif isinstance(value, list):
+            items = [w(v) if (w := scalar(type(v))) else render(v, inner) for v in value]
+            brackets = "[]"
+        else:
+            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+        if not items:
+            return brackets
+        return f"{brackets[0]}{inner}{f',{inner}'.join(items)}{indent}{brackets[1]}"
+
+    write = scalar(type(data))
+    return write(data) if write else render(data, "\n")
 
 
-@click.group()
-def main():
-    """Equivalences of graphs and hypergraphs via curvature and neighbourhoods."""
-
-
-@main.command("neigh")
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n", required=True, type=int, help="Neighbourhood order.")
-@click.option("--mode", default="path",
-              type=click.Choice(["nb", "path", "walk"]))  # WalkMode's values
-@click.option("--hyper", is_flag=True, help="Parse the input as a hypergraph.")
-@click.option("--check-inclusions", is_flag=True, help="Also verify the mode chain.")
-@_exit_codes
 def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
     """Emit the n-neighbourhood graph edges and its component partition."""
     cap = _path_cap()
@@ -155,12 +142,12 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
     lines = [f"{ids[i]} {ids[j]}\n" for i, j in result.graph.edge_pairs()]
     blocks = result.graph.connected_components().blocks
     lines += [f"block {' '.join(block)}\n" for block in blocks]
-    click.echo("".join(lines), nl=False)  # one write, not one per line
+    sys.stdout.write("".join(lines))  # one write, not one per line
     if check_inclusions:
         report = neighborhood.inclusion_check(structure, n, path_cap=cap)
-        click.echo(f"inclusions {'ok' if report.holds else 'VIOLATED'}")
+        print(f"inclusions {'ok' if report.holds else 'VIOLATED'}")
         if not report.holds:
-            sys.exit(EXIT_PRECONDITION)
+            sys.exit(PreconditionError.exit_code)
 
 
 def _component_pairs(structure):
@@ -176,25 +163,17 @@ def _component_pairs(structure):
 def _pairs_input(input_file, pairs, all_pairs, hyper, walk):
     """Check the pair options and the walk, load the input, list the pairs."""
     if not pairs and not all_pairs:
-        raise click.UsageError("provide --pair X Y or --all")
+        raise UsageError("provide --pair X Y or --all")
     walk = transport.SimilarityWalk(walk)
     if hyper and walk is transport.SimilarityWalk.GRAPH:
-        raise click.UsageError("use --walk en or --walk ee with --hyper")
+        raise UsageError("use --walk en or --walk ee with --hyper")
     if not hyper and walk is not transport.SimilarityWalk.GRAPH:
-        raise click.UsageError("--walk en/ee requires --hyper")
+        raise UsageError("--walk en/ee requires --hyper")
     structure = _load_hypergraph(input_file) if hyper else _load_graph(input_file)
     wanted = list(pairs) if pairs else list(_component_pairs(structure))
     return structure, walk, wanted
 
 
-@main.command("curv")
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--pair", "pairs", nargs=2, multiple=True, help="Vertex pair; repeatable.")
-@click.option("--all", "all_pairs", is_flag=True, help="All pairs per component.")
-@click.option("--hyper", is_flag=True)
-@click.option("--walk", default="en", type=click.Choice(["en", "ee"]),
-              help="Hypergraph random walk (ignored for graphs).")
-@_exit_codes
 def cmd_curvature(input_file, pairs, all_pairs, hyper, walk):
     """Exact Ollivier-Ricci curvature report as JSON."""
     # --walk is ignored for graphs
@@ -212,7 +191,7 @@ def cmd_curvature(input_file, pairs, all_pairs, hyper, walk):
         }
         for (x, y), result in zip(wanted, results)
     ]
-    _emit_json({"pairs": rows})
+    print(json_text({"pairs": rows}))
 
 
 def _parse_edge_options(values):
@@ -220,29 +199,13 @@ def _parse_edge_options(values):
     for value in values:
         parts = value.split(",")
         if len(parts) != 2 or parts[0] == parts[1]:
-            raise click.UsageError(
+            raise UsageError(
                 f"--remove expects 'u,v' with u != v, got {value!r}"
             )
         out.append(tuple(parts))
     return out
 
 
-@main.command("partition")
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--method",
-    required=True,
-    type=click.Choice(
-        ["g2", "gn", "structural", "subcliques", "triangle-removal",
-         "kcycle-removal", "h2", "hn"]
-    ),
-)
-@click.option("--n", type=int, default=None, help="Order for gn/hn.")
-@click.option("--k", type=int, default=None, help="Cycle length for kcycle-removal.")
-@click.option("--remove", "removed", multiple=True, help="Edge 'u,v'; repeatable.")
-@click.option("--block", "chosen", multiple=True,
-              help="Comma-separated vertex set for subcliques; repeatable.")
-@_exit_codes
 def cmd_partition(input_file, method, n, k, removed, chosen):
     """Run a partition construction and emit its report as JSON."""
     cap = _path_cap()
@@ -252,7 +215,7 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
             report = partitions.weak_regular_from_h2(h, path_cap=cap)
         else:
             if n is None:
-                raise click.UsageError("--n is required for method hn")
+                raise UsageError("--n is required for method hn")
             report = partitions.weak_regular_from_hn(h, n, path_cap=cap)
     else:
         g = _load_graph(input_file)
@@ -260,13 +223,13 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
             report = partitions.regular_from_g2(g, path_cap=cap)
         elif method == "gn":
             if n is None:
-                raise click.UsageError("--n is required for method gn")
+                raise UsageError("--n is required for method gn")
             report = partitions.regular_from_gn(g, n, path_cap=cap)
         elif method == "structural":
             report = partitions.structural_from_curvature(g)
         elif method == "subcliques":
             if not chosen:
-                raise click.UsageError("--block is required for method subcliques")
+                raise UsageError("--block is required for method subcliques")
             sets = [c.split(",") for c in chosen]
             report = partitions.regular_from_curvature_subcliques(g, sets)
         elif method == "triangle-removal":
@@ -274,10 +237,10 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
             report = partitions.regular_from_triangle_removal(g, removal, path_cap=cap)
         else:
             if k is None:
-                raise click.UsageError("--k is required for method kcycle-removal")
+                raise UsageError("--k is required for method kcycle-removal")
             removal = partitions.RemovalSet.of(_parse_edge_options(removed))
             report = partitions.regular_from_kcycle_removal(g, k, removal, path_cap=cap)
-    _emit_json(report.to_json())
+    print(json_text(report.to_json()))
 
 
 _VERIFIERS = {
@@ -290,11 +253,6 @@ _VERIFIERS = {
 }
 
 
-@main.command("verify")
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("partition_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--notion", required=True, type=click.Choice(list(_VERIFIERS)))
-@_exit_codes
 def cmd_verify(input_file, partition_file, notion):
     """Verify a partition (JSON {"blocks": [...]}) against an equivalence notion."""
     import json
@@ -310,7 +268,7 @@ def cmd_verify(input_file, partition_file, notion):
     if not partition.covers(structure.vertices):
         raise ParseError(f"partition does not cover the {kind}'s vertex set")
     verifier = getattr(equivalence, _VERIFIERS[notion])
-    _emit_json(verifier(structure, partition).to_json())
+    print(json_text(verifier(structure, partition).to_json()))
 
 
 def _sim_row(report, sigma):
@@ -331,16 +289,6 @@ def _sim_row(report, sigma):
     return row
 
 
-@main.command("sim")
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--pair", "pairs", nargs=2, multiple=True)
-@click.option("--all", "all_pairs", is_flag=True)
-@click.option("--hyper", is_flag=True)
-@click.option("--walk", default="graph",
-              type=click.Choice(["ee", "en", "graph"]))  # SimilarityWalk's values
-@click.option("--check-bounds", is_flag=True,
-              help="Exit nonzero if any curvature bound is violated.")
-@_exit_codes
 def cmd_similarity(input_file, pairs, all_pairs, hyper, walk, check_bounds):
     """Similarity reports (cosine, curvature, bounds) as JSON."""
     structure, walk, wanted = _pairs_input(input_file, pairs, all_pairs, hyper, walk)
@@ -352,83 +300,185 @@ def cmd_similarity(input_file, pairs, all_pairs, hyper, walk, check_bounds):
         if check_bounds and report.kappa is not None and not hyper:
             if not similarity.bounds_hold(sigma, report.distance, report.kappa):
                 violations += 1
-    _emit_json({"pairs": rows})
+    print(json_text({"pairs": rows}))
     if check_bounds and violations:
-        click.echo(f"bound violations: {violations}", err=True)
+        print(f"bound violations: {violations}", file=sys.stderr)
         sys.exit(1)
 
 
-def _fixture_checks():
-    """Checks over the bundled corpus; yields (name, bool)."""
-    c6 = fixtures.graph("c6")
-    counts = [
-        len(neighborhood.neighborhood_graph(c6, n).graph.connected_components().blocks)
-        for n in range(1, 7)
-    ]
-    yield "c6 component counts 1,2,3,2,1,6", counts == [1, 2, 3, 2, 1, 6]
-    edge_sets = [
-        neighborhood.neighborhood_graph(c6, n).graph.edge_pairs() for n in range(1, 7)
-    ]
-    yield "c6 G2 = G4 and G1 = G5", (
-        edge_sets[1] == edge_sets[3] and edge_sets[0] == edge_sets[4]
-    )
-    yield "c6 adjacent curvature 0", transport.orc(c6, "1", "2").kappa == 0
-
-    fig3 = fixtures.graph("fig3")
-    yield "fig3 kappa(a,b) = 1", transport.orc(fig3, "a", "b").kappa == 1
-    yield "fig3 kappa(a,c) < 1", transport.orc(fig3, "a", "c").kappa < 1
-
-    h5 = fixtures.graph("h5")
-    report = partitions.regular_from_g2(h5)
-    expected = Partition([("a", "e"), ("b", "c", "d")])
-    yield "h5 G2 blocks {a,e},{b,c,d} regular", (
-        report.verified and report.partition == expected
-    )
-
-    p9 = fixtures.graph("p9")
-    figure = Partition([("3", "9"), ("1", "2", "4", "5", "6", "7", "8")])
-    witness = equivalence.is_regular_partition(p9, figure)
-    yield "p9 two-block figure partition not regular", not witness.verdict
-
-    l3 = fixtures.graph("l3")
-    partition = Partition([("1", "4"), ("2", "3")])
-    yield "l3 endpoint/interior partition regular", equivalence.is_regular_partition(
-        l3, partition
-    ).verdict
-
-    hx = fixtures.hypergraph("hx")
-    yield "hx EN-ORC(x,y) = 1", transport.en_orc(hx, "x", "y").kappa == 1
-    yield "hx EE-ORC(x,y) = 1", transport.ee_orc(hx, "x", "y").kappa == 1
-    yield "hx weak but not strong structural", (
-        equivalence.is_weak_structural(hx, "x", "y")
-        and not equivalence.is_strong_structural(hx, "x", "y")
-    )
-
-    h1 = fixtures.hypergraph("h1")
-    yield "h1 EN-ORC(x,y) = 1", transport.en_orc(h1, "x", "y").kappa == 1
-    yield "h1 EE-ORC(x,y) != 1", transport.ee_orc(h1, "x", "y").kappa != 1
-    yield "h1 weak but not strong structural", (
-        equivalence.is_weak_structural(h1, "x", "y")
-        and not equivalence.is_strong_structural(h1, "x", "y")
-    )
-
-    for name in ("c6", "p9", "fig3", "h5", "g3"):
-        g = fixtures.graph(name)
-        yield f"{name} inclusion chain at n=4", neighborhood.inclusion_check(g, 4).holds
-
-
-@main.command("fixtures")
-@_exit_codes
 def cmd_fixtures():
     """Run the bundled fixture corpus and print a pass/fail table."""
     failed = 0
-    for name, ok in _fixture_checks():
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {name}")
+    for name, ok in fixtures.checks():
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
         if not ok:
             failed += 1
-    click.echo(f"{'all checks passed' if not failed else f'{failed} check(s) failed'}")
+    print(f"{'all checks passed' if not failed else f'{failed} check(s) failed'}")
     if failed:
         sys.exit(1)
+
+
+# An option takes `nargs` values, or none for a flag. Each value is taken
+# verbatim, even when it starts with "-": `--pair -a b` names vertex "-a".
+Option = collections.namedtuple(
+    "Option", "dest nargs type choices default required repeat help",
+    defaults=(1, str, None, None, False, False, ""),
+)
+_INPUT = ("INPUT_FILE",)
+_HYPER = Option("hyper", 0, help="Parse the input as a hypergraph.")
+_PAIRS = {"--pair": Option("pairs", 2, repeat=True, help="Vertex pair; repeatable."),
+          "--all": Option("all_pairs", 0, help="All pairs per component."),
+          "--hyper": _HYPER}
+
+# Command -> (function, positional input files, options by flag).
+COMMANDS = {
+    "curv": (cmd_curvature, _INPUT, {**_PAIRS, "--walk": Option(
+        "walk", choices=("en", "ee"), default="en",
+        help="Hypergraph random walk (ignored for graphs).")}),
+    "fixtures": (cmd_fixtures, (), {}),
+    "neigh": (cmd_neighborhood, _INPUT, {
+        "--n": Option("n", type=int, required=True, help="Neighbourhood order."),
+        "--mode": Option("mode", choices=("nb", "path", "walk"), default="path"),
+        "--hyper": _HYPER,
+        "--check-inclusions": Option("check_inclusions", 0,
+                                     help="Also verify the mode chain."),
+    }),
+    "partition": (cmd_partition, _INPUT, {
+        "--method": Option("method", required=True, choices=(
+            "g2", "gn", "structural", "subcliques", "triangle-removal",
+            "kcycle-removal", "h2", "hn")),
+        "--n": Option("n", type=int, help="Order for gn/hn."),
+        "--k": Option("k", type=int, help="Cycle length for kcycle-removal."),
+        "--remove": Option("removed", repeat=True, help="Edge 'u,v'; repeatable."),
+        "--block": Option("chosen", repeat=True,
+                          help="Comma-separated vertex set for subcliques; repeatable."),
+    }),
+    "sim": (cmd_similarity, _INPUT, {
+        **_PAIRS,
+        "--walk": Option("walk", choices=("ee", "en", "graph"), default="graph"),
+        "--check-bounds": Option("check_bounds", 0,
+                                 help="Exit 1 if any curvature bound is violated."),
+    }),
+    "verify": (cmd_verify, (*_INPUT, "PARTITION_FILE"), {
+        "--notion": Option("notion", required=True, choices=tuple(_VERIFIERS)),
+    }),
+}
+
+
+def _value(flag, option, text):
+    if option.type is int:
+        return _integer(flag, text)
+    if option.choices and text not in option.choices:
+        raise UsageError(f"{flag} must be one of {', '.join(option.choices)}; got {text!r}")
+    return text
+
+
+def _existing_file(name, path):
+    if not os.path.exists(path):
+        raise UsageError(f"{name} {path!r} does not exist")
+    if os.path.isdir(path):
+        raise UsageError(f"{name} {path!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise UsageError(f"{name} {path!r} is not readable")
+    return path
+
+
+def parse_args(command, argv):
+    """The keyword arguments of `command` from `argv`, or None for --help."""
+    _, files, options = COMMANDS[command]
+    values = {o.dest: [] if o.repeat else o.default for o in options.values()}
+    positional = []
+    rest = argv[::-1]  # the next argument is last
+    while rest:
+        arg = rest.pop()
+        if arg == "--":
+            positional += reversed(rest)
+            break
+        if arg[:1] != "-" or arg == "-":
+            positional.append(arg)
+            continue
+        flag, inline, text = arg.partition("=")
+        if flag == "--help":
+            return None
+        option = options.get(flag)
+        if option is None:
+            raise UsageError(f"no such option {flag!r}")
+        if inline:
+            if not option.nargs:
+                raise UsageError(f"option {flag} takes no value")
+            rest.append(text)
+        if len(rest) < option.nargs:
+            raise UsageError(f"option {flag} requires {option.nargs} value(s)")
+        given = [_value(flag, option, rest.pop()) for _ in range(option.nargs)]
+        value = tuple(given) if option.nargs > 1 else given[0] if given else True
+        if option.repeat:
+            values[option.dest].append(value)
+        else:
+            values[option.dest] = value
+    if len(positional) < len(files):
+        raise UsageError(f"missing argument {files[len(positional)]}")
+    if len(positional) > len(files):
+        raise UsageError(f"unexpected extra argument {positional[len(files)]!r}")
+    for flag, option in options.items():
+        if option.required and values[option.dest] is None:
+            raise UsageError(f"missing option {flag}")
+    for name, path in zip(files, positional):
+        values[name.lower()] = _existing_file(name, path)
+    return values
+
+
+def usage(prog, command=None):
+    """The --help text of the program, or of one command."""
+    if command is None:
+        head = [f"{prog} COMMAND [ARGS]...",
+                "Equivalences of graphs and hypergraphs via curvature and neighbourhoods.",
+                "Commands (COMMAND --help lists its options):"]
+        rows = [(name, run.__doc__) for name, (run, _, _) in COMMANDS.items()]
+    else:
+        run, files, options = COMMANDS[command]
+        head = [f"{prog} {command} [OPTIONS] {' '.join(files)}", run.__doc__, "Options:"]
+        rows = []
+        for flag, o in options.items():
+            values = [o.type.__name__.upper()] * o.nargs  # STR or INT, once per value
+            metavar = " ".join([f"[{'|'.join(o.choices)}]"] if o.choices else values)
+            note = "  [required]" if o.required else ""
+            rows.append((f"{flag} {metavar}".rstrip(), o.help + note))
+        rows.append(("--help", "Show this message and exit."))
+    width = min(max(len(left) for left, _ in rows), 24)  # a longer one pushes its help
+    rows = [f"  {left:{width}}  {right}".rstrip() for left, right in rows]
+    return "\n".join([f"Usage: {head[0]}".rstrip(), "", f"  {head[1]}", "", head[2], *rows])
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run one command line (`sys.argv[1:]` by default); on an error, exit with its code.
+
+    The signature is click's `Group.main`, which callers still use; `standalone_mode`
+    changes nothing."""
+    argv = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or main.name
+    try:
+        if not argv:
+            raise UsageError(f"missing command, one of {', '.join(COMMANDS)}")
+        command, argv = argv[0], argv[1:]
+        if command == "--help":
+            print(usage(prog))
+        elif command not in COMMANDS:
+            kind = "option" if command.startswith("-") else "command"
+            raise UsageError(f"no such {kind} {command!r}")
+        elif (values := parse_args(command, argv)) is None:
+            print(usage(prog, command))
+        else:
+            COMMANDS[command][0](**values)
+    except EquivCurvError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
+    except BrokenPipeError:  # the reader has gone, as with `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+main.main = main  # click's Group had these; bench/run.py and CliRunner use them
+main.name = "equivcurv"
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: ParseError -> 2, PreconditionError and
-UnknownVertexError -> 3, ResourceCapError -> 4.
+Each error below the base carries the CLI's exit code for it, `exit_code`:
+ParseError 2, PreconditionError and UnknownVertexError 3, ResourceCapError 4.
 """
 
 
@@ -11,6 +11,8 @@ class EquivCurvError(Exception):
 
 class ParseError(EquivCurvError):
     """Malformed input text. Carries the 1-based line number."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None):
         self.line = line
@@ -22,10 +24,16 @@ class ParseError(EquivCurvError):
 class UnknownVertexError(EquivCurvError):
     """A vertex id that does not belong to the structure."""
 
+    exit_code = 3
+
 
 class PreconditionError(EquivCurvError):
     """An operation was called on input violating its stated precondition."""
 
+    exit_code = 3
+
 
 class ResourceCapError(EquivCurvError):
     """A configured resource cap (path length, work budget) was hit."""
+
+    exit_code = 4

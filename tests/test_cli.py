@@ -1,7 +1,11 @@
 """Command-line interface: formats, determinism, and exit codes."""
 
+import errno
+import io
 import json
+import os
 import random
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -17,7 +21,7 @@ from equivcurv import (
     parse_graph,
     parse_hypergraph,
 )
-from equivcurv.cli import main
+from equivcurv.cli import json_text, main
 
 from support import networkx_w1, random_connected_graph
 
@@ -398,6 +402,29 @@ class TestNoTraceback:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+class TestClosedPipe:
+    def test_reader_gone_exits_1_quietly(self, monkeypatch, capsys, c6):
+        """As with `equivcurv neigh ... | head`: exit 1, no traceback."""
+        read_end, write_end = os.pipe()
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return write_end
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            with pytest.raises(SystemExit) as exited:
+                main(["neigh", c6, "--n", "3"])
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert exited.value.code == 1
+        assert capsys.readouterr().err == ""
+
+
 class TestDeepPaths:
     """Path enumeration is bounded by the length cap and the work budget only."""
 
@@ -721,3 +748,155 @@ class TestShortPathNeigh:
         )
         assert result.exit_code == 3
         assert result.stderr == "error: inclusion checks apply to graphs only\n"
+
+
+class TestVerbatimOptionValues:
+    """An option's values are taken as they stand, even when they start with "-"."""
+
+    TEXT = "-a b\nb c\nc -a\nc d\n"
+
+    @pytest.fixture
+    def dash(self, tmp_path):
+        path = tmp_path / "dash.edges"
+        path.write_text(self.TEXT)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["curv", "sim"])
+    def test_pair_with_a_dash_vertex(self, runner, tmp_path, dash, command):
+        renamed = tmp_path / "renamed.edges"
+        renamed.write_text(self.TEXT.replace("-a", "a"))
+        result = runner.invoke(main, [command, dash, "--pair", "-a", "b"])
+        plain = runner.invoke(main, [command, str(renamed), "--pair", "a", "b"])
+        assert result.exit_code == plain.exit_code == 0, result.output
+        assert result.stdout == plain.stdout.replace('"x": "a"', '"x": "-a"')
+        assert json.loads(result.stdout)["pairs"][0]["kappa"] == "1/2"
+
+    def test_removal_edge_with_a_dash_vertex(self, runner, dash):
+        args = ["partition", dash, "--method", "triangle-removal"]
+        result = runner.invoke(main, [*args, "--remove", "-a,b"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["method"] == "triangle-removal"
+        inline = runner.invoke(main, [*args, "--remove=-a,b"])
+        assert (inline.exit_code, inline.stdout) == (0, result.stdout)
+
+    def test_option_name_taken_as_a_vertex(self, runner, dash):
+        result = runner.invoke(main, ["curv", dash, "--pair", "--all", "b"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: unknown vertex '--all'\n"
+
+
+_USAGE_ERRORS = [
+    # (arguments, with {c6}, {h1} and {dir} for paths; the one stderr line)
+    ([], "missing command, one of curv, fixtures, neigh, partition, sim, verify"),
+    (["curv", "{c6}"], "provide --pair X Y or --all"),
+    (["sim", "{h1}", "--hyper", "--pair", "x", "y"], "use --walk en or --walk ee with --hyper"),
+    (["sim", "{c6}", "--walk", "en", "--all"], "--walk en/ee requires --hyper"),
+    (["partition", "{c6}", "--method", "gn"], "--n is required for method gn"),
+    (["partition", "{h1}", "--method", "hn"], "--n is required for method hn"),
+    (["partition", "{c6}", "--method", "kcycle-removal"],
+     "--k is required for method kcycle-removal"),
+    (["partition", "{c6}", "--method", "subcliques"],
+     "--block is required for method subcliques"),
+    (["partition", "{c6}", "--method", "triangle-removal", "--remove", "1"],
+     "--remove expects 'u,v' with u != v, got '1'"),
+    (["neigh", "{c6}", "--n", "2", "--bogus"], "no such option '--bogus'"),
+    (["--bogus"], "no such option '--bogus'"),
+    (["bogus"], "no such command 'bogus'"),
+    (["partition", "{c6}", "--method", "nope"],
+     "--method must be one of g2, gn, structural, subcliques, triangle-removal, "
+     "kcycle-removal, h2, hn; got 'nope'"),
+    (["neigh", "{c6}", "--n", "x"], "--n must be an integer, got 'x'"),
+    (["neigh", "{dir}/missing.edges", "--n", "2"],
+     "INPUT_FILE '{dir}/missing.edges' does not exist"),
+    (["neigh", "{dir}", "--n", "2"], "INPUT_FILE '{dir}' is a directory"),
+    (["curv", "{c6}", "--pair", "1"], "option --pair requires 2 value(s)"),
+    (["neigh", "{c6}"], "missing option --n"),
+    (["curv"], "missing argument INPUT_FILE"),
+    (["curv", "{c6}", "{c6}", "--all"], "unexpected extra argument '{c6}'"),
+    (["curv", "{c6}", "--all=1"], "option --all takes no value"),
+]
+
+
+class TestUsageErrors:
+    """A command line that does not fit the command table: exit 2, nothing on
+    stdout and one `error: ...` line on stderr."""
+
+    @pytest.mark.parametrize(
+        "args, message", _USAGE_ERRORS, ids=[" ".join(a) or "none" for a, _ in _USAGE_ERRORS]
+    )
+    def test_one_error_line(self, runner, tmp_path, c6, h1, args, message):
+        paths = {"c6": c6, "h1": h1, "dir": str(tmp_path)}
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message.format(**paths)}"]
+
+    @pytest.mark.parametrize(
+        "command", ["", "curv", "fixtures", "neigh", "partition", "sim", "verify"]
+    )
+    def test_help_goes_to_stdout(self, runner, command):
+        result = runner.invoke(main, [*command.split(), "--help"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert result.stdout.startswith("Usage: equivcurv ")
+        assert "--help" in result.stdout
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(st.characters(blacklist_categories=())),  # controls, non-ASCII, surrogates
+    st.integers(),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(st.characters(blacklist_categories=())), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def _fixture_commands():
+    for name in sorted(fixtures.GRAPHS):
+        for args in (["curv", "--all"], ["sim", "--all"], ["partition", "--method", "g2"],
+                     ["partition", "--method", "structural"]):
+            yield name, fixtures.GRAPHS[name], args
+    for name in sorted(fixtures.HYPERGRAPHS):
+        for args in (["curv", "--all", "--hyper", "--walk", "ee"],
+                     ["sim", "--all", "--hyper", "--walk", "en"],
+                     ["partition", "--method", "h2"]):
+            yield name, fixtures.HYPERGRAPHS[name], args
+
+
+class TestJsonText:
+    """`json_text` writes exactly what `json.dumps(data, indent=2)` writes."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "name, text, args", list(_fixture_commands()),
+        ids=[f"{n}-{' '.join(a)}" for n, _, a in _fixture_commands()],
+    )
+    def test_fixture_reports(self, runner, tmp_path, name, text, args):
+        path = tmp_path / name
+        path.write_text(text)
+        result = runner.invoke(main, [args[0], str(path), *args[1:]])
+        assert result.exit_code == 0, result.output
+        data = json.loads(result.stdout)
+        assert result.stdout == json.dumps(data, indent=2) + "\n"
+        assert json_text(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize("value", [{}, [], {"a": []}, [{}], {"b": {}}])
+    def test_empty_containers(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)

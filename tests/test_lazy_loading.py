@@ -12,7 +12,7 @@ import pytest
 
 import equivcurv
 from equivcurv import SimilarityWalk, WalkMode
-from equivcurv.cli import main
+from equivcurv.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -109,6 +109,44 @@ def test_each_command_runs_only_its_layers(args, executed):
     assert (code, out) == (eager_code, eager_out)
 
 
+# Runs one command as the benchmark does (runpy) and prints to stderr every
+# module it loaded.
+LOADED = """
+import runpy, sys
+before = set(sys.modules)
+try:
+    runpy.run_module("equivcurv.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+FRONT_END_LIBRARIES = {"click", "argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["neigh", "c6.edges", "--n", "3"], ["curv", "fig3.edges", "--all"],
+     ["partition", "h5.edges", "--method", "g2"]],
+    ids=["neigh", "curv", "partition-g2"],
+)
+def test_commands_run_without_click(args):
+    args = [str(FIXTURES / a) if a.endswith(".edges") else a for a in args]
+    proc = _python("-c", LOADED, *args)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert not loaded & FRONT_END_LIBRARIES  # click among them
+
+
+def test_importing_the_cli_loads_no_argument_parsing_library():
+    proc = _python(
+        "-c",
+        "import sys; before = set(sys.modules); import equivcurv.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))",
+    )
+    loaded = set(proc.stdout.split())
+    assert "equivcurv.cli" in loaded
+    assert not loaded & FRONT_END_LIBRARIES
+
+
 def test_importing_the_package_runs_no_module():
     proc = _python(
         "-c",
@@ -181,8 +219,8 @@ def test_cli_forwards_the_names_it_used_to_import():
 
 
 def _choices(command, option):
-    (param,) = [p for p in main.commands[command].params if p.name == option]
-    return list(param.type.choices)
+    _, _, options = COMMANDS[command]
+    return list(options[f"--{option}"].choices)
 
 
 def test_mode_and_walk_choices_match_their_enums():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_left
+from functools import cached_property
 from itertools import islice, repeat
 
 from .errors import ParseError, PreconditionError, ResourceCapError, UnknownVertexError
@@ -152,7 +153,7 @@ class Budget:
         self.used += units
         if self.used > self.limit:
             message = f"{self.kind} enumeration exceeded work budget {self.limit}"
-            raise ResourceCapError(message)
+            raise ResourceCapError(message, self.kind, self.limit, self.used)
 
 
 def simple_paths(steps, n, work_budget, above_start=False):
@@ -206,6 +207,17 @@ def _strip_comments(text):
             yield lineno, tokens
 
 
+def _link(nbrs):
+    """Replace each neighbour set in `nbrs` by its sorted list; return `nbrs`.
+
+    Each set is freed as soon as its list is made, so all the sets and all
+    the lists are never held at once.
+    """
+    for i, s in enumerate(nbrs):
+        nbrs[i] = sorted(s)
+    return nbrs
+
+
 class _Indexed:
     """Vertex ids in first-seen order, each with its dense index."""
 
@@ -243,42 +255,46 @@ class Graph(_Indexed):
                 raise PreconditionError(f"edge {e!r} has more than two endpoints")
             for i in ids:
                 nbrs[i].update(ids - {i} or ids)  # a one-vertex edge is a loop
-        self._link(nbrs)
+        self._adj = _link(nbrs)
+
+    @classmethod
+    def _from_lists(cls, vertices, index, adj):
+        """Graph from its vertex list, its index and its adjacency lists.
+
+        `adj[i]` lists the dense indices joined to i, ascending and each once,
+        symmetric, with i itself for a loop; the graph takes the lists over.
+        No id is looked up, and the edge tables are built on first read.
+        """
+        g = cls.__new__(cls)
+        g.vertices, g.index, g._adj = vertices, index, adj
+        return g
 
     @classmethod
     def _from_sets(cls, base, nbrs):
         """Graph on `base`'s vertex list and index from neighbour sets.
 
         `nbrs[i]` is the set of dense indices joined to i, symmetric, with i
-        itself for a loop; the graph takes the list over. No id is looked up.
+        itself for a loop; the graph takes the list over (see `_link`).
         """
-        g = cls.__new__(cls)
-        g.vertices, g.index = base.vertices, base.index
-        g._link(nbrs)
-        return g
+        return cls._from_lists(base.vertices, base.index, _link(nbrs))
 
-    def _link(self, nbrs):
-        """Set the edges, then the adjacency, from symmetric neighbour sets.
+    # -- edges, read off the adjacency on first use ----------------------
 
-        Each sorted set lists i's edges (i, j), i <= j, from i upwards, so the
-        edges and the lists built from them come out sorted. The sets are
-        freed first, so that the lists can reuse their memory.
-        """
+    @cached_property
+    def _pairs(self):
+        """Edges as (i, j), i <= j, in sorted order: each row from i upwards."""
         pairs = []
-        for i, s in enumerate(nbrs):
-            row = sorted(s)
+        for i, row in enumerate(self._adj):
             pairs += zip(repeat(i), row[bisect_left(row, i):])
-        nbrs.clear()
-        self._pairs = tuple(pairs)
-        self._edges = frozenset(pairs)
-        adj = self._adj = [[] for _ in self.vertices]
-        for i, j in pairs:
-            adj[i].append(j)
-            if i != j:
-                adj[j].append(i)
-        self._has_loops = any(i == j for i, j in pairs)
+        return tuple(pairs)
 
-    # -- edges --------------------------------------------------------------
+    @cached_property
+    def _edges(self):
+        return frozenset(self._pairs)
+
+    @cached_property
+    def _has_loops(self):
+        return any(i in row for i, row in enumerate(self._adj))
 
     def edge_pairs(self):
         """Edges as sorted (i, j) dense-index pairs; loops as (i, i)."""
@@ -296,7 +312,7 @@ class Graph(_Indexed):
         return self._has_loops
 
     def n_edges(self):
-        return len(self._edges)
+        return len(self._pairs)
 
     def without_edges(self, removed):
         """New graph on the same vertex set with the given edges deleted."""
@@ -358,7 +374,7 @@ class Graph(_Indexed):
         # Connected, so bipartite iff no edge (a loop included) joins two
         # vertices of equal BFS-depth parity.
         depth = BfsRow(0).reach(self._adj) if self.vertices else {}
-        if any(depth[i] % 2 == depth[j] % 2 for i, j in self._edges):
+        if any(depth[i] % 2 == depth[j] % 2 for i, j in self._pairs):
             return Bipartition(False, None)
         parts = tuple(
             tuple(v for i, v in enumerate(self.vertices) if depth[i] % 2 == side)
@@ -479,7 +495,18 @@ class Hypergraph(_Indexed):
 
 
 def parse_graph(text):
-    """Parse edge-list text: one edge per line, 1 token = loop, '#' comments."""
+    """Parse edge-list text: one edge per line, 1 token = loop, '#' comments.
+
+    Lines break where `str.splitlines` breaks them, tokens split on any
+    whitespace, and a line is a comment when its first token starts with '#'.
+    A text with no '#' whose lines all hold 0 or 2 tokens takes a fast path
+    that reads the edges off one `text.split()`: every line break is
+    whitespace to `str.split`, so it gives the same tokens in the same order.
+    Every other text takes the line-by-line loop, the only path that raises
+    ParseError.
+    """
+    if "#" not in text and set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
+        return _parse_pairs(text)
     index, nbrs = {}, []  # one pass: a new token gets the next dense index
     for lineno, tokens in _strip_comments(text):
         if len(tokens) > 2:
@@ -493,7 +520,21 @@ def parse_graph(text):
         i, j = index[tokens[0]], index[tokens[-1]]
         nbrs[i].add(j)
         nbrs[j].add(i)
-    return Graph._from_sets(_Indexed(index), nbrs)
+    return Graph._from_lists(list(index), index, _link(nbrs))
+
+
+def _parse_pairs(text):
+    """`parse_graph`'s fast path: whitespace-separated tokens, two per edge."""
+    index = {}  # a new token gets the next dense index
+    ids = [index.setdefault(v, len(index)) for v in text.split()]
+    adj = [[] for _ in index]
+    pairs = iter(ids)
+    for i, j in zip(pairs, pairs):
+        adj[i].append(j)
+        adj[j].append(i)
+    for i, row in enumerate(adj):  # repeated and reversed edges, and loops, once
+        adj[i] = sorted(set(row))
+    return Graph._from_lists(list(index), index, adj)
 
 
 def parse_hypergraph(text):

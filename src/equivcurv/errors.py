@@ -34,6 +34,15 @@ class PreconditionError(EquivCurvError):
 
 
 class ResourceCapError(EquivCurvError):
-    """A configured resource cap (path length, work budget) was hit."""
+    """A configured resource cap (path length, work budget) was hit.
+
+    `cap` names the cap: a work budget's kind ("path", "walk", "removal-set")
+    or "path length". `limit` is the cap's value and `used` the amount asked
+    for when it fired: the units spent, or the path length n.
+    """
 
     exit_code = 4
+
+    def __init__(self, message, cap=None, limit=None, used=None):
+        self.cap, self.limit, self.used = cap, limit, used
+        super().__init__(message)

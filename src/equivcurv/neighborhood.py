@@ -47,7 +47,8 @@ def _check_input(structure, n, loop_message):
 def _check_path_cap(n, path_cap, override_caps):
     if n > path_cap and not override_caps:
         raise ResourceCapError(
-            f"path length n={n} exceeds cap {path_cap} (override to proceed)"
+            f"path length n={n} exceeds cap {path_cap} (override to proceed)",
+            cap="path length", limit=path_cap, used=n,
         )
 
 

@@ -74,6 +74,11 @@ class TestNeigh:
         result = runner.invoke(main, ["neigh", c6, "--n", "9"])
         assert result.exit_code == 4
 
+    def test_cap_error_line(self, runner, c6):
+        result = runner.invoke(main, ["neigh", c6, "--n", "9"])
+        assert result.stdout == ""
+        assert result.stderr == "error: path length n=9 exceeds cap 8 (override to proceed)\n"
+
     def test_env_cap_override(self, runner, c6, monkeypatch):
         monkeypatch.setenv("EQUIVCURV_PATH_CAP", "12")
         result = runner.invoke(main, ["neigh", c6, "--n", "9"])

@@ -15,13 +15,14 @@ from equivcurv import (
     PreconditionError,
     ResourceCapError,
     UnknownVertexError,
+    neighborhood_graph,
     parse_graph,
     parse_hypergraph,
 )
 from equivcurv import fixtures
 from equivcurv.core import BfsRow, Budget
 
-from support import random_connected_graph
+from support import random_connected_graph, random_hypergraph
 
 
 def to_networkx(g):
@@ -208,6 +209,18 @@ class TestBudget:
             budget.charge(1)
         assert str(info.value) == "path enumeration exceeded work budget 5"
 
+    def test_refusal_names_the_budget_its_limit_and_the_units_used(self):
+        with pytest.raises(ResourceCapError) as info:
+            Budget("walk", 5).charge(7)
+        exc = info.value
+        assert (exc.cap, exc.limit, exc.used) == ("walk", 5, 7)
+        assert str(exc) == "walk enumeration exceeded work budget 5"
+        with pytest.raises(ResourceCapError) as info:
+            fixtures.graph("two5").k_cycles(5, work_budget=3)
+        exc = info.value
+        assert (exc.cap, exc.limit) == ("path", 3) and exc.used > 3
+        assert str(exc) == "path enumeration exceeded work budget 3"
+
 
 class TestCycles:
     def test_c6_six_cycle(self):
@@ -365,6 +378,99 @@ class TestDerivedGraphs:
             (a, b) for e in hyperedges for a in e for b in e if a != b or len(e) == 1
         ]
         self.same_graph(h.associated_graph(), Graph(names, id_edges))
+
+
+def _bipartition(g, removed):
+    try:
+        return g.bipartition()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _without_edges(g, removed):
+    h = g.without_edges(removed)
+    return h.edge_pairs(), h.adjacency(), h.has_loops()
+
+
+# Each edge query, as a function of the graph and a list of edges to remove.
+EDGE_QUERIES = {
+    "edge_pairs": lambda g, removed: g.edge_pairs(),
+    "edge_ids": lambda g, removed: g.edge_ids(),
+    "has_edge": lambda g, removed: [
+        g.has_edge(u, v) for u in g.vertices for v in g.vertices
+    ],
+    "n_edges": lambda g, removed: g.n_edges(),
+    "has_loops": lambda g, removed: g.has_loops(),
+    "bipartition": _bipartition,
+    "without_edges": _without_edges,
+}
+
+
+class TestLazyEdgeTables:
+    """A graph keeps only its adjacency lists and builds its edge tables on
+    first read. Every edge query must answer the same as the first read of a
+    fresh graph, after `adjacency()`, and after every other query."""
+
+    @staticmethod
+    def check(make, rng):
+        """`make()` builds a fresh copy of one graph."""
+        edges = make().edge_ids()
+        removed = rng.sample(edges, rng.randint(0, len(edges)))
+        removed = [e[::-1] if rng.random() < 0.5 else e for e in removed]
+        for name, query in EDGE_QUERIES.items():
+            first = query(make(), removed)
+            g = make()
+            g.adjacency()
+            assert query(g, removed) == first, name
+            g = make()
+            for other in EDGE_QUERIES.values():
+                other(g, removed)
+            assert query(g, removed) == first, name
+        # The tables read the same edges as the adjacency lists hold.
+        g = make()
+        adj = g.adjacency()
+        pairs = sorted({(min(i, j), max(i, j))
+                        for i, row in enumerate(adj) for j in row})
+        assert g.edge_pairs() == pairs
+        assert g.n_edges() == len(pairs)
+        assert g.has_loops() == any(i == j for i, j in pairs)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.GRAPHS))
+    def test_fixtures(self, name):
+        rng = random.Random(name)
+        base = fixtures.graph(name)
+        self.check(lambda: fixtures.graph(name), rng)
+        self.check(lambda: neighborhood_graph(fixtures.graph(name), 2).graph, rng)
+        removed = rng.sample(base.edge_ids(), rng.randint(0, base.n_edges()))
+        self.check(lambda: fixtures.graph(name).without_edges(removed), rng)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.HYPERGRAPHS))
+    def test_associated_graphs_of_fixtures(self, name):
+        rng = random.Random(name)
+        self.check(lambda: fixtures.hypergraph(name).associated_graph(), rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_graphs(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng)
+        vertices, edges = g.vertices, g.edge_ids()
+        self.check(lambda: neighborhood_graph(Graph(vertices, edges), 2).graph, rng)
+        if rng.random() < 0.3:
+            edges.append((rng.choice(vertices),))
+        self.check(lambda: Graph(vertices, edges), rng)
+        text = "".join(" ".join(e) + "\n" for e in edges)
+        self.check(lambda: parse_graph(text), rng)
+        edge_ids = Graph(vertices, edges).edge_ids()
+        removed = rng.sample(edge_ids, rng.randint(0, len(edge_ids)))
+        self.check(lambda: Graph(vertices, edges).without_edges(removed), rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_associated_graphs(self, seed):
+        rng = random.Random(seed)
+        h = random_hypergraph(rng)
+        self.check(lambda: Hypergraph(h.vertices, h.hyperedges).associated_graph(), rng)
 
 
 class TestPartition:

@@ -111,6 +111,13 @@ class TestPathMode:
             neighborhood_graph(g, 9)
         neighborhood_graph(g, 9, override_caps=True)  # no error
 
+    def test_path_cap_refusal_names_the_cap_its_limit_and_n(self):
+        with pytest.raises(ResourceCapError) as info:
+            neighborhood_graph(fixtures.graph("c6"), 5, path_cap=3)
+        exc = info.value
+        assert (exc.cap, exc.limit, exc.used) == ("path length", 3, 5)
+        assert str(exc) == "path length n=5 exceeds cap 3 (override to proceed)"
+
     def test_work_budget(self):
         g = fixtures.graph("two5")
         with pytest.raises(ResourceCapError):

@@ -97,8 +97,9 @@ def _read(path):
 def json_text(data):
     """`json.dumps(data, indent=2)`, byte for byte, for dicts with str keys, lists,
     str, int, bool and None. With an indent `json.dumps` runs its Python encoder;
-    this lays the text out in one pass and quotes each str with the C encoder."""
-    from json.encoder import encode_basestring_ascii as quote
+    this lays the text out in one pass and quotes each str with the C encoder
+    that `json.encoder` re-exports, read from `_json` to skip the `json` package."""
+    from _json import encode_basestring_ascii as quote
 
     # Scalars by exact type, so that a bool is not written as an int.
     scalar = {str: quote, int: int.__repr__, type(None): lambda _: "null",

@@ -7,8 +7,8 @@ depend on hash order. Structures are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property
 from itertools import islice, repeat
 
@@ -65,10 +65,10 @@ class Partition:
         return f"Partition({self.blocks!r})"
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    is_bipartite: bool
-    parts: tuple | None  # (part0, part1) as tuples of vertex ids, or None
+class Bipartition(namedtuple("Bipartition", "is_bipartite parts")):
+    """`parts` is (part0, part1) as tuples of vertex ids, or None."""
+
+    __slots__ = ()
 
 
 class BfsRow:

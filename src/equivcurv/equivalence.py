@@ -9,17 +9,18 @@ violation found (deterministic iteration order).
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .core import Graph, Hypergraph, Partition
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
-    verdict: bool
-    violation: dict | None = None  # keys: pair, neighbor, block
+class EquivalenceWitness(
+    namedtuple("EquivalenceWitness", "verdict violation", defaults=(None,))
+):
+    """`violation` is None or a dict with keys pair, neighbor and block."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.verdict

@@ -15,7 +15,7 @@ built on its base's dense vertex index.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, simple_paths
 from .errors import PreconditionError, ResourceCapError
@@ -29,12 +29,10 @@ class WalkMode(enum.Enum):
     WALK = "walk"
 
 
-@dataclass(frozen=True)
-class NeighborhoodGraph:
-    base: object  # source Graph or Hypergraph
-    n: int
-    mode: WalkMode
-    graph: Graph
+class NeighborhoodGraph(namedtuple("NeighborhoodGraph", "base n mode graph")):
+    """The n-neighbourhood `graph` of `base` (a Graph or Hypergraph) in `mode`."""
+
+    __slots__ = ()
 
 
 def _check_input(structure, n, loop_message):
@@ -248,12 +246,12 @@ def hyper_neighborhood_graph(
     return _from_nbrs(h, n, WalkMode.PATH, _path_nbrs(h, n, work_budget))
 
 
-@dataclass(frozen=True)
-class InclusionReport:
-    n: int
-    path_in_nb: bool
-    nb_in_walk: bool
-    counterexample: tuple | None  # (edge, relation) on violation
+class InclusionReport(
+    namedtuple("InclusionReport", "n path_in_nb nb_in_walk counterexample")
+):
+    """`counterexample` is (edge, relation) on violation, else None."""
+
+    __slots__ = ()
 
     @property
     def holds(self):

@@ -13,7 +13,7 @@ default work budget each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 
 from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, Partition
@@ -26,15 +26,21 @@ from .errors import PreconditionError
 from .neighborhood import DEFAULT_PATH_CAP, hyper_neighborhood_graph, neighborhood_graph
 
 
-@dataclass(frozen=True)
-class RemovalSet:
-    """Graph edges to delete, as vertex-id pairs."""
+class RemovalSet(namedtuple("RemovalSet", "edges")):
+    """Graph edges to delete, as a frozenset of vertex-id pairs (frozensets)."""
 
-    edges: frozenset
+    __slots__ = ()
 
     @classmethod
     def of(cls, pairs):
         return cls(frozenset(frozenset(p) for p in pairs))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own `_make`, which `_replace` calls, checks the field
+        # count with `len`, and `len` here counts edges.
+        (edges,) = iterable
+        return cls(edges)
 
     def __len__(self):
         return len(self.edges)
@@ -43,14 +49,13 @@ class RemovalSet:
         return [tuple(sorted(e)) for e in sorted(self.edges, key=sorted)]
 
 
-@dataclass
-class ConstructionReport:
-    partition: Partition
-    method: str
-    preconditions: list  # (name, met) pairs
-    verified: bool
-    witness: dict | None = None
-    notes: list = field(default_factory=list)
+class ConstructionReport(namedtuple(
+    "ConstructionReport", "partition method preconditions verified witness notes",
+    defaults=(None, ()),
+)):
+    """`preconditions` holds (name, met) pairs; `witness` is None or a violation."""
+
+    __slots__ = ()
 
     @property
     def preconditions_met(self):
@@ -81,7 +86,7 @@ def _report(verify, structure, partition, method, preconditions, notes=()):
         preconditions=preconditions,
         verified=witness.verdict,
         witness=witness.violation,
-        notes=list(notes),
+        notes=tuple(notes),
     )
 
 

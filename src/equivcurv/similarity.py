@@ -12,23 +12,20 @@ no `Fraction` arithmetic runs per pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import Graph, Hypergraph
 from .errors import PreconditionError
-from .transport import CurvatureResult, SimilarityWalk, _Batch
+from .transport import SimilarityWalk, _Batch
 
 SQRT_SCALE_BITS = 64  # rational sqrt enclosure denominator 2**64
 
 
-@dataclass(frozen=True)
-class CosineData:
+class CosineData(namedtuple("CosineData", "eta d_x d_y")):
     """Exact ingredients of cosine similarity: common-neighbour count and degrees."""
 
-    eta: int
-    d_x: int
-    d_y: int
+    __slots__ = ()
 
     @property
     def value(self) -> float:
@@ -92,19 +89,12 @@ def bounds_hold(sigma: CosineData, distance: int, kappa: Fraction) -> bool:
     return t <= 0 or eta * eta * q * q >= t * t * d_x * d_y
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
-    x: str
-    y: str
-    eta: int
-    d_x: int
-    d_y: int
-    distance: int | None
-    kappa: Fraction | None
-    lower_bound: Fraction | None
-    upper_bound: Fraction | None
-    fully_dissimilar: bool
-    curvature: CurvatureResult | None = None
+class SimilarityReport(namedtuple(
+    "SimilarityReport",
+    "x y eta d_x d_y distance kappa lower_bound upper_bound fully_dissimilar curvature",
+    defaults=(None,),
+)):
+    __slots__ = ()
 
 
 def similarity_reports(g_or_h, pairs, walk: SimilarityWalk = SimilarityWalk.GRAPH):

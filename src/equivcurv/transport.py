@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul, sub
@@ -159,12 +158,8 @@ class SimilarityWalk(enum.Enum):
     EE = "ee"
 
 
-@dataclass(frozen=True)
-class CurvatureResult:
-    kappa: Fraction
-    w1: Fraction
-    distance: int
-    coupling: Coupling
+class CurvatureResult(namedtuple("CurvatureResult", "kappa w1 distance coupling")):
+    __slots__ = ()
 
 
 def neighbor_measure(g: Graph, x) -> Measure:

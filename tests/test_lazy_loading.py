@@ -120,6 +120,16 @@ finally:
     print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
 """
 FRONT_END_LIBRARIES = {"click", "argparse", "gettext", "locale"}
+# `dataclasses` imports `inspect`, which pulls in `ast`, `dis` and `tokenize`.
+START_UP_LIBRARIES = {"dataclasses", "inspect", "json"}
+
+
+def _loaded(*args):
+    """Modules a command loads; fixture names become fixture paths."""
+    args = [str(FIXTURES / a) if a.endswith((".edges", ".hyper")) else a for a in args]
+    proc = _python("-c", LOADED, *args)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
 
 
 @pytest.mark.parametrize(
@@ -129,11 +139,28 @@ FRONT_END_LIBRARIES = {"click", "argparse", "gettext", "locale"}
     ids=["neigh", "curv", "partition-g2"],
 )
 def test_commands_run_without_click(args):
-    args = [str(FIXTURES / a) if a.endswith(".edges") else a for a in args]
-    proc = _python("-c", LOADED, *args)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.split())
-    assert not loaded & FRONT_END_LIBRARIES  # click among them
+    assert not _loaded(*args) & FRONT_END_LIBRARIES  # click among them
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["neigh", "c6.edges", "--n", "3"], ["curv", "fig3.edges", "--all"],
+     ["curv", "h1.hyper", "--all", "--hyper", "--walk", "ee"],
+     ["sim", "fig3.edges", "--all", "--check-bounds"],
+     ["partition", "h5.edges", "--method", "g2"],
+     ["partition", "h1.hyper", "--method", "h2"], ["fixtures"]],
+    ids=["neigh", "curv", "curv-ee", "sim", "partition-g2", "partition-h2", "fixtures"],
+)
+def test_commands_load_neither_dataclasses_nor_json(args):
+    assert not _loaded(*args) & START_UP_LIBRARIES
+
+
+def test_verify_is_the_command_that_loads_json(tmp_path):
+    partition = tmp_path / "p.json"
+    partition.write_text('{"blocks": [["1", "4"], ["2", "3"]]}', encoding="utf-8")
+    loaded = _loaded("verify", "l3.edges", str(partition), "--notion", "regular")
+    assert "json" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_importing_the_cli_loads_no_argument_parsing_library():

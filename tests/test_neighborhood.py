@@ -1,6 +1,5 @@
 """n-neighbourhood graphs in all three modes, plus caps and inclusions."""
 
-import dataclasses
 import itertools
 import random
 
@@ -185,7 +184,7 @@ class TestModes:
             if mode is not dropped:
                 return built
             empty = built.graph.without_edges(built.graph.edge_ids())
-            return dataclasses.replace(built, graph=empty)
+            return built._replace(graph=empty)
 
         monkeypatch.setattr(neighborhood_module, "neighborhood_graph", dropping)
         report = inclusion_check(g, 3)

@@ -1,5 +1,6 @@
 """The public result records: immutable, constructed by position or keyword,
-compared and hashed by value, with a `Name(field=value, ...)` repr."""
+compared and hashed by value, unpacked like tuples, with a
+`Name(field=value, ...)` repr."""
 
 import importlib
 

@@ -59,18 +59,6 @@ class UsageError(ParseError):
     """A command line that does not fit `COMMANDS`: malformed input, exit 2."""
 
 
-def _path_cap():
-    value = os.environ.get("EQUIVCURV_PATH_CAP")
-    if not value:
-        return neighborhood.DEFAULT_PATH_CAP
-    cap = _integer("EQUIVCURV_PATH_CAP", value)
-    if cap < 1:
-        raise ParseError(
-            f"EQUIVCURV_PATH_CAP must be a positive integer, got {value!r}"
-        )
-    return cap
-
-
 def _integer(name, text):
     try:
         return int(text)
@@ -126,18 +114,17 @@ def json_text(data):
 
 def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
     """Emit the n-neighbourhood graph edges and its component partition."""
-    cap = _path_cap()
     if hyper:
         if mode != "path":
             raise PreconditionError("hypergraph neighbourhoods support path mode only")
         if check_inclusions:
             raise PreconditionError("inclusion checks apply to graphs only")
         structure = _load_hypergraph(input_file)
-        result = neighborhood.hyper_neighborhood_graph(structure, n, path_cap=cap)
+        result = neighborhood.hyper_neighborhood_graph(structure, n)
     else:
         structure = _load_graph(input_file)
         result = neighborhood.neighborhood_graph(
-            structure, n, neighborhood.WalkMode(mode), path_cap=cap
+            structure, n, neighborhood.WalkMode(mode)
         )
     ids = result.graph.vertices
     lines = [f"{ids[i]} {ids[j]}\n" for i, j in result.graph.edge_pairs()]
@@ -145,7 +132,7 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
     lines += [f"block {' '.join(block)}\n" for block in blocks]
     sys.stdout.write("".join(lines))  # one write, not one per line
     if check_inclusions:
-        report = neighborhood.inclusion_check(structure, n, path_cap=cap)
+        report = neighborhood.inclusion_check(structure, n)
         print(f"inclusions {'ok' if report.holds else 'VIOLATED'}")
         if not report.holds:
             sys.exit(PreconditionError.exit_code)
@@ -209,23 +196,22 @@ def _parse_edge_options(values):
 
 def cmd_partition(input_file, method, n, k, removed, chosen):
     """Run a partition construction and emit its report as JSON."""
-    cap = _path_cap()
     if method in ("h2", "hn"):
         h = _load_hypergraph(input_file)
         if method == "h2":
-            report = partitions.weak_regular_from_h2(h, path_cap=cap)
+            report = partitions.weak_regular_from_h2(h)
         else:
             if n is None:
                 raise UsageError("--n is required for method hn")
-            report = partitions.weak_regular_from_hn(h, n, path_cap=cap)
+            report = partitions.weak_regular_from_hn(h, n)
     else:
         g = _load_graph(input_file)
         if method == "g2":
-            report = partitions.regular_from_g2(g, path_cap=cap)
+            report = partitions.regular_from_g2(g)
         elif method == "gn":
             if n is None:
                 raise UsageError("--n is required for method gn")
-            report = partitions.regular_from_gn(g, n, path_cap=cap)
+            report = partitions.regular_from_gn(g, n)
         elif method == "structural":
             report = partitions.structural_from_curvature(g)
         elif method == "subcliques":
@@ -235,12 +221,12 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
             report = partitions.regular_from_curvature_subcliques(g, sets)
         elif method == "triangle-removal":
             removal = partitions.RemovalSet.of(_parse_edge_options(removed))
-            report = partitions.regular_from_triangle_removal(g, removal, path_cap=cap)
+            report = partitions.regular_from_triangle_removal(g, removal)
         else:
             if k is None:
                 raise UsageError("--k is required for method kcycle-removal")
             removal = partitions.RemovalSet.of(_parse_edge_options(removed))
-            report = partitions.regular_from_kcycle_removal(g, k, removal, path_cap=cap)
+            report = partitions.regular_from_kcycle_removal(g, k, removal)
     print(json_text(report.to_json()))
 
 

@@ -34,15 +34,15 @@ class PreconditionError(EquivCurvError):
 
 
 class ResourceCapError(EquivCurvError):
-    """A configured resource cap (path length, work budget) was hit.
+    """An enumeration spent more than its work budget (`core.Budget`).
 
-    `cap` names the cap: a work budget's kind ("path", "walk", "removal-set")
-    or "path length". `limit` is the cap's value and `used` the amount asked
-    for when it fired: the units spent, or the path length n.
+    `cap` names the budget's kind: "path" (simple paths and cycles), "walk"
+    (nb and walk neighbourhoods) or "removal-set". `limit` is the budget and
+    `used` the units spent when it fired, so `used > limit`.
     """
 
     exit_code = 4
 
-    def __init__(self, message, cap=None, limit=None, used=None):
+    def __init__(self, message, cap, limit, used):
         self.cap, self.limit, self.used = cap, limit, used
         super().__init__(message)

@@ -18,9 +18,7 @@ import enum
 from collections import namedtuple
 
 from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, simple_paths
-from .errors import PreconditionError, ResourceCapError
-
-DEFAULT_PATH_CAP = 8
+from .errors import PreconditionError
 
 
 class WalkMode(enum.Enum):
@@ -40,14 +38,6 @@ def _check_input(structure, n, loop_message):
         raise PreconditionError("neighbourhood order n must be >= 1")
     if structure.has_loops():
         raise PreconditionError(loop_message)
-
-
-def _check_path_cap(n, path_cap, override_caps):
-    if n > path_cap and not override_caps:
-        raise ResourceCapError(
-            f"path length n={n} exceeds cap {path_cap} (override to proceed)",
-            cap="path length", limit=path_cap, used=n,
-        )
 
 
 def _path_nbrs(structure, n, work_budget):
@@ -204,19 +194,15 @@ def neighborhood_graph(
     g: Graph,
     n: int,
     mode: WalkMode = WalkMode.PATH,
-    path_cap: int = DEFAULT_PATH_CAP,
-    override_caps: bool = False,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> NeighborhoodGraph:
     """Build the n-neighbourhood graph of g in the requested mode.
 
-    Path mode enumerates simple paths and is exponential; it is guarded by
-    `path_cap` on n unless `override_caps` is set. A hard work budget always
-    applies, in every mode.
+    Path mode enumerates simple paths and is exponential in n. Every mode
+    spends at most `work_budget` units and is refused past it, whatever n.
     """
     _check_input(g, n, "neighbourhood graphs require a loop-free input")
     if mode is WalkMode.PATH:
-        _check_path_cap(n, path_cap, override_caps)
         nbrs = _path_nbrs(g, n, work_budget)
     elif mode is WalkMode.WALK or n == 1:  # one step never backtracks
         adj = g.adjacency()
@@ -231,18 +217,15 @@ def neighborhood_graph(
 def hyper_neighborhood_graph(
     h: Hypergraph,
     n: int,
-    path_cap: int = DEFAULT_PATH_CAP,
-    override_caps: bool = False,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> NeighborhoodGraph:
     """Build H_n: edges between vertices joined by a path of n hyperedges.
 
     A hyperedge path has all vertices and all hyperedges distinct. H_1 is the
-    associated graph minus loops. Guarded like path mode in
+    associated graph minus loops. Bounded by `work_budget` like path mode in
     `neighborhood_graph`.
     """
     _check_input(h, n, "H_n requires all hyperedges to have |e| >= 2")
-    _check_path_cap(n, path_cap, override_caps)
     return _from_nbrs(h, n, WalkMode.PATH, _path_nbrs(h, n, work_budget))
 
 
@@ -258,10 +241,16 @@ class InclusionReport(
         return self.path_in_nb and self.nb_in_walk
 
 
-def inclusion_check(g: Graph, n: int, **kwargs) -> InclusionReport:
-    """Verify E_n <= E_n^NB <= E_n^walk by building all three modes."""
+def inclusion_check(
+    g: Graph, n: int, work_budget: int = DEFAULT_WORK_BUDGET
+) -> InclusionReport:
+    """Verify E_n <= E_n^NB <= E_n^walk by building all three modes.
+
+    Each build spends at most `work_budget` units of its own.
+    """
     path, nb, walk = (  # all on g's dense index, in WalkMode's chain order
-        neighborhood_graph(g, n, mode, **kwargs).graph._edges for mode in WalkMode
+        neighborhood_graph(g, n, mode, work_budget=work_budget).graph._edges
+        for mode in WalkMode
     )
     counterexample = None
     path_in_nb = path <= nb

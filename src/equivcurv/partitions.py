@@ -6,9 +6,9 @@ a precondition fails but the input is still processable, the construction
 emits the partition anyway and lets the verdict speak (the degree conditions
 are sufficient, not necessary). The structural and curvature-subclique
 constructions decide from neighbour sets alone and build no neighbourhood
-graph. The others take one cap, `path_cap` on the order of the graph they
-build; that build and every cycle or removal-set enumeration spend one
-default work budget each.
+graph. The others build one, of any order; that build and every cycle or
+removal-set enumeration are each bounded by one default work budget, the
+only resource guard.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .equivalence import (
     structural_classes,
 )
 from .errors import PreconditionError
-from .neighborhood import DEFAULT_PATH_CAP, hyper_neighborhood_graph, neighborhood_graph
+from .neighborhood import hyper_neighborhood_graph, neighborhood_graph
 
 
 class RemovalSet(namedtuple("RemovalSet", "edges")):
@@ -33,7 +33,14 @@ class RemovalSet(namedtuple("RemovalSet", "edges")):
 
     @classmethod
     def of(cls, pairs):
-        return cls(frozenset(frozenset(p) for p in pairs))
+        """The removal set of `pairs`; each entry must be two distinct vertices."""
+        pairs = [tuple(p) for p in pairs]
+        for p in pairs:
+            if len(p) != 2 or p[0] == p[1]:
+                raise PreconditionError(
+                    f"removal entry {p!r} is not two distinct vertices"
+                )
+        return cls(frozenset(map(frozenset, pairs)))
 
     @classmethod
     def _make(cls, iterable):
@@ -102,18 +109,17 @@ def _require(structure, disconnected=None):
         raise PreconditionError(disconnected)
 
 
-def _components_report(structure, base, n, method, preconditions, path_cap,
-                       two_note=False):
+def _components_report(structure, base, n, method, preconditions, two_note=False):
     """Report the components of base's G_n (H_n) as classes of `structure`.
 
     A graph is verified as a regular partition, a hypergraph as a weak
     regular one. With `two_note`, two components get the maximality note.
     """
     if isinstance(base, Graph):
-        built = neighborhood_graph(base, n, path_cap=path_cap)
+        built = neighborhood_graph(base, n)
         verify, notion = is_regular_partition, "regular"
     else:
-        built = hyper_neighborhood_graph(base, n, path_cap=path_cap)
+        built = hyper_neighborhood_graph(base, n)
         verify, notion = is_weak_regular_partition, "weak regular"
     partition = built.graph.connected_components()
     notes = []
@@ -124,21 +130,19 @@ def _components_report(structure, base, n, method, preconditions, path_cap,
     return _report(verify, structure, partition, method, preconditions, notes)
 
 
-def regular_from_g2(g: Graph, path_cap: int = DEFAULT_PATH_CAP) -> ConstructionReport:
+def regular_from_g2(g: Graph) -> ConstructionReport:
     """Components of G_2 as regular classes of a connected loop-free graph."""
     _require(g, "graph must be connected; apply per component")
     return _components_report(
-        g, g, 2, "g2-components", [("connected", True)], path_cap, two_note=True
+        g, g, 2, "g2-components", [("connected", True)], two_note=True
     )
 
 
-def regular_from_gn(
-    g: Graph, n: int, path_cap: int = DEFAULT_PATH_CAP
-) -> ConstructionReport:
+def regular_from_gn(g: Graph, n: int) -> ConstructionReport:
     """Components of G_n as regular classes; sound when min degree >= 2."""
     _require(g)
     preconditions = [("min-degree-2", g.min_degree() >= 2)]
-    return _components_report(g, g, n, "gn-components", preconditions, path_cap)
+    return _components_report(g, g, n, "gn-components", preconditions)
 
 
 def structural_from_curvature(g: Graph) -> ConstructionReport:
@@ -206,9 +210,7 @@ def _validate_removal_against_cycles(cycles, removal: RemovalSet, what):
             )
 
 
-def regular_from_triangle_removal(
-    g: Graph, removal: RemovalSet, path_cap: int = DEFAULT_PATH_CAP
-) -> ConstructionReport:
+def regular_from_triangle_removal(g: Graph, removal: RemovalSet) -> ConstructionReport:
     """Components of (g - removal)_2 as regular classes of the original g.
 
     The removal set may delete at most one edge per triangle of g.
@@ -217,19 +219,18 @@ def regular_from_triangle_removal(
     _validate_removal_against_cycles(g.triangles(), removal, "triangle")
     pruned = g.without_edges(removal.pairs())
     return _components_report(
-        g, pruned, 2, "triangle-removal", [("one-edge-per-triangle", True)], path_cap
+        g, pruned, 2, "triangle-removal", [("one-edge-per-triangle", True)]
     )
 
 
 def regular_from_kcycle_removal(
-    g: Graph, k: int, removal: RemovalSet, path_cap: int = DEFAULT_PATH_CAP
+    g: Graph, k: int, removal: RemovalSet
 ) -> ConstructionReport:
     """Components of (g - removal)_{k-1} as regular classes of the original g.
 
     Requires a connected graph with min degree >= 2, at most one removed edge
     per k-cycle, and min degree >= 2 surviving the removal. The k-cycles and
-    the G_{k-1} build are each enumerated under the default work budget, and
-    the build also under `path_cap` on k - 1.
+    the G_{k-1} build are each enumerated under the default work budget.
     """
     if k < 3:
         raise PreconditionError("k-cycle removal requires k >= 3")
@@ -246,30 +247,24 @@ def regular_from_kcycle_removal(
         ("one-edge-per-cycle", True),
         ("pruned-min-degree-2", True),
     ]
-    return _components_report(
-        g, pruned, k - 1, "kcycle-removal", preconditions, path_cap
-    )
+    return _components_report(g, pruned, k - 1, "kcycle-removal", preconditions)
 
 
-def weak_regular_from_h2(
-    h: Hypergraph, path_cap: int = DEFAULT_PATH_CAP
-) -> ConstructionReport:
+def weak_regular_from_h2(h: Hypergraph) -> ConstructionReport:
     """Components of H_2 as weak regular classes of a connected hypergraph."""
     _require(h, "hypergraph must be connected; apply per component")
     return _components_report(
-        h, h, 2, "h2-components", [("connected", True)], path_cap, two_note=True
+        h, h, 2, "h2-components", [("connected", True)], two_note=True
     )
 
 
-def weak_regular_from_hn(
-    h: Hypergraph, n: int, path_cap: int = DEFAULT_PATH_CAP
-) -> ConstructionReport:
+def weak_regular_from_hn(h: Hypergraph, n: int) -> ConstructionReport:
     """Components of H_n; sound when every vertex has >= 2 neighbours."""
     _require(h)
     preconditions = [
         ("min-2-neighbours", all(len(h.neighbors(v)) >= 2 for v in h.vertices))
     ]
-    return _components_report(h, h, n, "hn-components", preconditions, path_cap)
+    return _components_report(h, h, n, "hn-components", preconditions)
 
 
 def enumerate_removal_sets(g: Graph, max_size: int = 3):

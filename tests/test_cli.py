@@ -70,18 +70,34 @@ class TestNeigh:
         b = runner.invoke(main, ["neigh", c6, "--n", "4"])
         assert a.output == b.output
 
-    def test_cap_exit_code(self, runner, c6):
+    def test_n_past_the_vertex_count_is_edgeless(self, runner, c6):
+        # No simple path of 9 steps fits in 6 vertices: every vertex is alone.
         result = runner.invoke(main, ["neigh", c6, "--n", "9"])
-        assert result.exit_code == 4
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert result.stdout == "".join(f"block {v}\n" for v in range(1, 7))
 
-    def test_cap_error_line(self, runner, c6):
-        result = runner.invoke(main, ["neigh", c6, "--n", "9"])
-        assert result.stdout == ""
-        assert result.stderr == "error: path length n=9 exceeds cap 8 (override to proceed)\n"
+    @pytest.fixture(scope="class")
+    def k12_n9(self, tmp_path_factory):
+        """`neigh K12 --n 9`, run once: its path DFS outruns the work budget."""
+        path = tmp_path_factory.mktemp("k12") / "k12.edges"
+        path.write_text("".join(f"{u} {v}\n" for u in range(12) for v in range(u)))
+        return CliRunner().invoke(main, ["neigh", str(path), "--n", "9"])
+
+    def test_cap_exit_code(self, k12_n9):
+        assert k12_n9.exit_code == 4
+
+    def test_cap_error_line(self, k12_n9):
+        assert k12_n9.stdout == ""
+        assert k12_n9.stderr == "error: path enumeration exceeded work budget 5000000\n"
 
     def test_env_cap_override(self, runner, c6, monkeypatch):
+        """EQUIVCURV_PATH_CAP is not read: stdout and exit code are unchanged."""
+        monkeypatch.delenv("EQUIVCURV_PATH_CAP", raising=False)
+        unset = runner.invoke(main, ["neigh", c6, "--n", "9"])
         monkeypatch.setenv("EQUIVCURV_PATH_CAP", "12")
         result = runner.invoke(main, ["neigh", c6, "--n", "9"])
+        assert (result.exit_code, result.stdout) == (unset.exit_code, unset.stdout)
         assert result.exit_code == 0
 
     def test_parse_error_exit_code(self, runner, tmp_path):
@@ -348,12 +364,13 @@ class TestBadInput:
         assert len(result.stderr.splitlines()) == 1
 
     def test_non_integer_path_cap(self, runner, c6, monkeypatch):
+        """EQUIVCURV_PATH_CAP is not read, so no value of it is malformed."""
+        monkeypatch.delenv("EQUIVCURV_PATH_CAP", raising=False)
+        unset = runner.invoke(main, ["neigh", c6, "--n", "2"])
         monkeypatch.setenv("EQUIVCURV_PATH_CAP", "abc")
         result = runner.invoke(main, ["neigh", c6, "--n", "2"])
-        assert result.exit_code == 2
-        assert result.stderr.splitlines() == [
-            "error: EQUIVCURV_PATH_CAP must be an integer, got 'abc'"
-        ]
+        assert (result.exit_code, result.stdout) == (unset.exit_code, unset.stdout)
+        assert result.exit_code == 0 and result.stderr == ""
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize(
@@ -362,13 +379,13 @@ class TestBadInput:
         ids=["neigh", "partition"],
     )
     def test_non_positive_path_cap(self, runner, c6, monkeypatch, value, command):
+        args = [command[0], c6, *command[1:]]
+        monkeypatch.delenv("EQUIVCURV_PATH_CAP", raising=False)
+        unset = runner.invoke(main, args)
         monkeypatch.setenv("EQUIVCURV_PATH_CAP", value)
-        result = runner.invoke(main, [command[0], c6, *command[1:]])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr.splitlines() == [
-            f"error: EQUIVCURV_PATH_CAP must be a positive integer, got '{value}'"
-        ]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout) == (unset.exit_code, unset.stdout)
+        assert result.exit_code == 0 and result.stderr == ""
 
     @pytest.mark.parametrize(
         "blocks",
@@ -431,11 +448,10 @@ class TestClosedPipe:
 
 
 class TestDeepPaths:
-    """Path enumeration is bounded by the length cap and the work budget only."""
+    """Path enumeration is bounded by the work budget only."""
 
     @pytest.fixture
-    def chain(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EQUIVCURV_PATH_CAP", "2000")
+    def chain(self, tmp_path):
         path = tmp_path / "chain.txt"
         path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1200)))
         return str(path)

@@ -15,11 +15,14 @@ from equivcurv import (
     PreconditionError,
     ResourceCapError,
     UnknownVertexError,
+    WalkMode,
+    enumerate_removal_sets,
     neighborhood_graph,
     parse_graph,
     parse_hypergraph,
 )
 from equivcurv import fixtures
+import equivcurv.partitions as partitions_module
 from equivcurv.core import BfsRow, Budget
 
 from support import random_connected_graph, random_hypergraph
@@ -220,6 +223,27 @@ class TestBudget:
         exc = info.value
         assert (exc.cap, exc.limit) == ("path", 3) and exc.used > 3
         assert str(exc) == "path enumeration exceeded work budget 3"
+
+    @pytest.mark.parametrize("kind", ["path", "walk", "removal-set"])
+    def test_each_kind_is_refused_past_its_limit(self, kind, monkeypatch):
+        g = fixtures.graph("two5")
+        if kind == "removal-set":
+            monkeypatch.setattr(partitions_module, "DEFAULT_WORK_BUDGET", 3)
+            run = lambda: enumerate_removal_sets(g)
+        else:
+            mode = WalkMode.PATH if kind == "path" else WalkMode.NON_BACKTRACKING
+            run = lambda: neighborhood_graph(g, 5, mode, work_budget=3)
+        with pytest.raises(ResourceCapError) as info:
+            run()
+        exc = info.value
+        assert (exc.cap, exc.limit) == (kind, 3) and exc.used > 3
+        assert str(exc) == f"{kind} enumeration exceeded work budget 3"
+
+    def test_refusal_requires_the_kind_the_limit_and_the_use(self):
+        with pytest.raises(TypeError):
+            ResourceCapError("path enumeration exceeded work budget 3")
+        exc = ResourceCapError("m", "walk", 3, 4)
+        assert (exc.cap, exc.limit, exc.used, exc.exit_code) == ("walk", 3, 4, 4)
 
 
 class TestCycles:

@@ -105,17 +105,21 @@ class TestPathMode:
             neighborhood_graph(fixtures.graph("c6"), 0)
 
     def test_path_cap(self):
+        """No cap on n: past the vertex count, G_n is edgeless on the same vertices."""
         g = fixtures.graph("c6")
-        with pytest.raises(ResourceCapError):
-            neighborhood_graph(g, 9)
-        neighborhood_graph(g, 9, override_caps=True)  # no error
+        built = neighborhood_graph(g, 9).graph
+        assert built.vertices == g.vertices
+        assert built.n_edges() == 0
+        with pytest.raises(TypeError):
+            neighborhood_graph(g, 9, override_caps=True)
 
     def test_path_cap_refusal_names_the_cap_its_limit_and_n(self):
+        """The work budget is the one guard; its refusal names kind, limit and use."""
         with pytest.raises(ResourceCapError) as info:
-            neighborhood_graph(fixtures.graph("c6"), 5, path_cap=3)
+            neighborhood_graph(fixtures.graph("c6"), 5, work_budget=3)
         exc = info.value
-        assert (exc.cap, exc.limit, exc.used) == ("path length", 3, 5)
-        assert str(exc) == "path length n=5 exceeds cap 3 (override to proceed)"
+        assert (exc.cap, exc.limit, exc.used) == ("path", 3, 4)
+        assert str(exc) == "path enumeration exceeded work budget 3"
 
     def test_work_budget(self):
         g = fixtures.graph("two5")
@@ -255,9 +259,11 @@ class TestHypergraphNeighborhood:
         assert {frozenset(e) for e in h2.edge_ids()} == expected
 
     def test_cap(self):
+        """No cap on n: H_9 of a 6-vertex hypergraph has no edge."""
         h = fixtures.hypergraph("h1")
-        with pytest.raises(ResourceCapError):
-            hyper_neighborhood_graph(h, 9)
+        built = hyper_neighborhood_graph(h, 9).graph
+        assert built.vertices == h.vertices
+        assert built.n_edges() == 0
 
 
 def hyper_path_oracle(h, n):
@@ -280,6 +286,24 @@ class TestHypergraphPathOracle:
     def test_hn_matches_brute_force(self, seed, n):
         h = random_hypergraph(random.Random(seed), max_vertices=6, max_hyperedges=6)
         assert edge_set(hyper_neighborhood_graph(h, n)) == hyper_path_oracle(h, n)
+
+
+class TestLongPaths:
+    """Past n = 8 as below it, G_n and H_n are exact; n >= |V| leaves no edge."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(5, 10), st.booleans())
+    def test_matches_brute_force(self, seed, n, hyper):
+        rng = random.Random(seed)
+        if hyper:
+            s = random_hypergraph(rng, max_vertices=7, max_hyperedges=6)
+            built, expected = hyper_neighborhood_graph(s, n), hyper_path_oracle(s, n)
+        else:
+            s = random_connected_graph(rng, max_vertices=8)
+            built, expected = neighborhood_graph(s, n), path_oracle(s, n)
+        assert edge_set(built) == expected
+        if n >= len(s.vertices):
+            assert built.graph.n_edges() == 0
 
 
 class TestWalkModeBudget:

@@ -250,6 +250,30 @@ class TestKCycleRemoval:
         assert report.verified
 
 
+class TestRemovalEntries:
+    """A removal entry that is not two distinct vertices is a precondition error."""
+
+    @pytest.mark.parametrize(
+        "entry", [("a", "a"), ("a",), ("a", "b", "c")], ids=["loop", "one", "three"]
+    )
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda entries: regular_from_triangle_removal(
+                fixtures.graph("h5"), RemovalSet.of(entries)
+            ),
+            lambda entries: regular_from_kcycle_removal(
+                fixtures.graph("c6"), 6, RemovalSet.of(entries)
+            ),
+        ],
+        ids=["triangle-removal", "kcycle-removal"],
+    )
+    def test_refused(self, construct, entry):
+        with pytest.raises(PreconditionError) as info:
+            construct([entry])
+        assert str(info.value) == f"removal entry {entry!r} is not two distinct vertices"
+
+
 class TestHypergraphConstructions:
     def test_hx_h2(self):
         report = weak_regular_from_h2(fixtures.hypergraph("hx"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 
 from .errors import ParseError, PreconditionError, ResourceCapError, UnknownVertexError
 
@@ -72,53 +72,45 @@ class Bipartition(namedtuple("Bipartition", "is_bipartite parts")):
 
 
 class BfsRow:
-    """Resumable dense-index BFS from one source.
+    """Resumable dense-index BFS from one source, grown a whole level at a time.
 
     `dist` maps every index reached so far to its hop count from the source.
-    `reach` expands only as far as its targets or radius need, and keeps the
-    level being expanded, how much of it is done and the next level found so
-    far, so a later call resumes where the last one stopped, even mid-level.
+    `level` lists the indices `depth` hops away, the deepest level reached;
+    `dist` holds exactly the indices within `depth` hops, so a later call
+    resumes from `level`.
     """
 
-    __slots__ = ("dist", "_level", "_at", "_next", "_depth")
+    __slots__ = ("dist", "level", "depth")
 
     def __init__(self, s):
         self.dist = {s: 0}
-        self._level = [s]  # vertices at hop count _depth
-        self._at = 0  # how many of them have been expanded
-        self._next = []  # vertices at hop count _depth + 1 found so far
-        self._depth = 0
+        self.level = [s]
+        self.depth = 0
 
     def reach(self, adj, targets=None, radius=None):
         """Expand until every target has a hop count; return `dist`.
 
         With targets None the whole component is expanded. Otherwise expansion
-        stops right after the vertex whose neighbours include the last missing
-        target; a target in another component leaves the component exhausted.
-        A `radius` also stops it at the start of level `radius`, once every
-        vertex within `radius` hops has its hop count.
+        stops at the end of the level that holds the last missing target; a
+        target in another component leaves the component exhausted. A
+        `radius` also stops it once every vertex within `radius` hops has its
+        hop count.
         """
         dist = self.dist
-        missing = set() if targets is None else {t for t in targets if t not in dist}
-        if targets is not None and not missing:
-            return dist
+        missing = [] if targets is None else [t for t in targets if t not in dist]
         last = len(adj) if radius is None else radius  # the last hop count needed
-        level, at, nxt, d = self._level, self._at, self._next, self._depth + 1
-        done = False
-        while level and not done and d <= last:
-            for x in islice(level, at, None):
-                at += 1
+        level, d = self.level, self.depth
+        while level and d < last and (targets is None or missing):
+            d += 1
+            found = []
+            for x in level:
                 for y in adj[x]:
                     if y not in dist:
                         dist[y] = d
-                        nxt.append(y)
-                        missing.discard(y)
-                if targets is not None and not missing:
-                    done = True
-                    break
-            else:  # the level is done: go on with the next one
-                level, at, nxt, d = nxt, 0, [], d + 1
-        self._level, self._at, self._next, self._depth = level, at, nxt, d - 1
+                        found.append(y)
+            level = found
+            missing = [t for t in missing if t not in dist]
+        self.level, self.depth = level, d
         return dist
 
 
@@ -134,12 +126,12 @@ def _meet_distance(adj, s, t):
         return 0
     rows = BfsRow(s), BfsRow(t)
     while True:
-        row, other = sorted(rows, key=lambda r: len(r._level))
-        if not row._level:
+        row, other = sorted(rows, key=lambda r: len(r.level))
+        if not row.level:
             return None
-        row.reach(adj, radius=row._depth + 1)
-        if any(w in other.dist for w in row._level):
-            return row._depth + other._depth
+        row.reach(adj, radius=row.depth + 1)
+        if any(w in other.dist for w in row.level):
+            return row.depth + other.depth
 
 
 class Budget:

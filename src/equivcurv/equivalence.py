@@ -137,23 +137,14 @@ def is_weak_structural(h: Hypergraph, x, y) -> bool:
     return h.neighbors(x) == h.neighbors(y)
 
 
-def _cardinalities_to(h, x, z):
-    """Multiset of |e| over hyperedges containing both x and z."""
+def _star(h, v):
+    """Multiset of (neighbour, |e|) over the hyperedges e through v."""
     return Counter(
-        len(h.hyperedges[ei])
-        for ei in h.incident_hyperedges(x)
-        if z in h.hyperedges[ei]
-    )
-
-
-def _neighbor_cardinalities(h, v):
-    """Set of (neighbour, |e|) over the hyperedges e through v."""
-    return {
         (w, len(h.hyperedges[ei]))
         for ei in h.incident_hyperedges(v)
         for w in h.hyperedges[ei]
         if w != v
-    }
+    )
 
 
 def is_strong_structural(h: Hypergraph, x, y) -> bool:
@@ -164,7 +155,7 @@ def is_strong_structural(h: Hypergraph, x, y) -> bool:
     symmetrically. (The hierarchy level STRONG is the stricter bijective
     star-matching notion; see `hierarchy_level`.)
     """
-    return _neighbor_cardinalities(h, x) == _neighbor_cardinalities(h, y)
+    return _star(h, x).keys() == _star(h, y).keys()
 
 
 def is_weak_structural_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
@@ -174,9 +165,7 @@ def is_weak_structural_partition(h: Hypergraph, p: Partition) -> EquivalenceWitn
 
 def is_strong_structural_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
     """Every block strong structurally equivalent; the witness names the pair."""
-    return _signature_check(
-        h, p, lambda v: _neighbor_cardinalities(h, v), _pair_violation
-    )
+    return _signature_check(h, p, lambda v: _star(h, v).keys(), _pair_violation)
 
 
 def is_weak_regular_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
@@ -190,7 +179,7 @@ def is_strong_regular_partition(h: Hypergraph, p: Partition) -> EquivalenceWitne
     """Strong regular equivalence: witnessing hyperedges must match in |e|."""
 
     def signature(v):
-        return {(p.block_of[w], card) for w, card in _neighbor_cardinalities(h, v)}
+        return {(p.block_of[w], card) for w, card in _star(h, v)}
 
     return _signature_check(h, p, signature, _block_violation)
 
@@ -230,10 +219,7 @@ def hierarchy_level(h: Hypergraph, x, y) -> set:
     if ee_weights(h, x) == ee_weights(h, y):
         levels.add(HierarchyLevel.WEIGHTED_NEIGHBOURHOOD)
 
-    nx_, ny_ = h.neighbors(x), h.neighbors(y)
-    if nx_ == ny_ and all(
-        _cardinalities_to(h, x, z) == _cardinalities_to(h, y, z) for z in nx_
-    ):
+    if _star(h, x) == _star(h, y):
         levels.add(HierarchyLevel.MULTISET)
     if _star_multiset(h, x, y) == _star_multiset(h, y, y):
         levels.add(HierarchyLevel.STRONG)
@@ -248,12 +234,11 @@ def ee_lemma_check(h: Hypergraph, x, y) -> bool:
     """
     if h.degree(x) != h.degree(y):
         return False
-    for z in h.neighbors(x) & h.neighbors(y):
-        if sum(_cardinalities_to(h, x, z).values()) != 1:
-            return False
-        if sum(_cardinalities_to(h, y, z).values()) != 1:
-            return False
-    return True
+    # Per neighbour w, the number of hyperedges through both w and x (y).
+    through_x = Counter(w for w, _ in _star(h, x).elements())
+    through_y = Counter(w for w, _ in _star(h, y).elements())
+    common = through_x.keys() & through_y.keys()
+    return all(through_x[z] == through_y[z] == 1 for z in common)
 
 
 __all__ = [

@@ -43,11 +43,15 @@ def _check_input(structure, n, loop_message):
 def _path_nbrs(structure, n, work_budget):
     """Per vertex, the set of others joined to it by a simple path of n steps.
 
-    n <= 3 meets in the middle; longer paths are enumerated by the DFS.
+    n <= 3 meets in the middle; longer paths are enumerated by the DFS,
+    unless n >= |V|: a path of n steps has n + 1 distinct vertices, so there
+    is none, and no work is charged.
     """
     steps = structure.path_steps()
     if n <= 3:
         return _short_path_nbrs(steps, n, work_budget)
+    if n >= len(steps):
+        return [set() for _ in steps]
     near = [set() for _ in steps]
     for start, _, ends in simple_paths(steps, n, work_budget):
         near[start].update(ends)

@@ -15,9 +15,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import Graph, Hypergraph
 from .errors import PreconditionError
-from .transport import SimilarityWalk, _Batch
+from .transport import SimilarityWalk, _Batch, _check_walk
 
 SQRT_SCALE_BITS = 64  # rational sqrt enclosure denominator 2**64
 
@@ -125,11 +124,7 @@ def _report(batch, x, y) -> SimilarityReport:
     g_or_h, walk = batch.structure, batch.walk
     if x == y:
         raise PreconditionError("similarity report requires two distinct vertices")
-    if walk is SimilarityWalk.GRAPH:
-        if not isinstance(g_or_h, Graph):
-            raise PreconditionError("graph walk requires a graph input")
-    elif not isinstance(g_or_h, Hypergraph):
-        raise PreconditionError("EN/EE walks require a hypergraph input")
+    _check_walk(g_or_h, walk)
     sigma = cosine_similarity(g_or_h, x, y)
     distance = batch.distance(x, y)
     fully_dissimilar = distance is None or distance > 2

@@ -22,13 +22,15 @@ many.
 
 `curvatures` is the one place where a walk (`SimilarityWalk`) becomes
 measures and curvatures; `orc`, `en_orc` and `ee_orc` are its one-pair
-calls, and `curv` and `sim` hand it their whole pair list. Within one call it
-builds each vertex's measure at most once and each BFS row at most once. A
-row is expanded only as far as the current pair needs (y for d(x, y), supp
-mu_y for the costs), resumed by later pairs, and dropped once no later pair
-reads it. A row no later pair reads stops halfway and meets the targets it
-misses from their side; a one-off d(x, y) is met from both ends. A source
-whose whole mass is shared gets no row and no cost cell for its pair.
+calls, and `curv` and `sim` hand it their whole pair list. A walk that does
+not fit the structure is refused before any measure is built. Within one
+call it builds each vertex's measure at most once and each BFS row at most
+once. A row grows whole levels, only as far as the current pair needs (y for
+d(x, y), supp mu_y for the costs), is resumed by later pairs, and is dropped
+once no later pair reads it. A row no later pair reads stops halfway and
+meets the targets it misses from their side; a one-off d(x, y) is met from
+both ends. A source whose whole mass is shared gets no row and no cost cell
+for its pair.
 """
 
 from __future__ import annotations
@@ -376,32 +378,39 @@ def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
     scale = lcm(mu._den, nu._den)
     supply = mu._integers(scale, len(sources))
     demand = nu._integers(scale, len(targets))
-    if not shared:  # nothing to cancel: the solver's flow is the whole flow
-        everything = range(len(sources)), range(len(targets))
-        flow, total, _, _ = _solve_transport(supply, demand, cost(*everything))
-    else:  # shared mass stays on (v, v); the solver moves the rest
-        flow = [[0] * len(targets) for _ in sources]
-        rest_s, rest_d = list(supply), list(demand)
-        for v in shared:
-            i, j = bisect_left(sources, v), bisect_left(targets, v)
-            q = flow[i][j] = min(supply[i], demand[j])
-            rest_s[i] -= q
-            rest_d[j] -= q
-        rows = [i for i, q in enumerate(rest_s) if q]
-        cols = [j for j, q in enumerate(rest_d) if q]
-        part, total, _, _ = _solve_transport(
-            [rest_s[i] for i in rows], [rest_d[j] for j in cols], cost(rows, cols)
-        )
-        for i, got in zip(rows, part):
-            row = flow[i]
-            for j, q in zip(cols, got):
-                row[j] = q
+    # Shared mass stays on (v, v); the solver moves the rest (all, if none is shared).
+    flow = [[0] * len(targets) for _ in sources]
+    rest_s, rest_d = list(supply), list(demand)
+    for v in shared:
+        i, j = bisect_left(sources, v), bisect_left(targets, v)
+        q = flow[i][j] = min(supply[i], demand[j])
+        rest_s[i] -= q
+        rest_d[j] -= q
+    rows = [i for i, q in enumerate(rest_s) if q]
+    cols = [j for j, q in enumerate(rest_d) if q]
+    part, total, _, _ = _solve_transport(
+        [rest_s[i] for i in rows], [rest_d[j] for j in cols], cost(rows, cols)
+    )
+    for i, got in zip(rows, part):
+        row = flow[i]
+        for j, q in zip(cols, got):
+            row[j] = q
     _check_marginals(flow, supply, demand)
     return Fraction(total, scale), Coupling._from_flow(sources, targets, flow, scale)
 
 
+def _check_walk(structure, walk):
+    """Refuse a walk that does not fit: graph needs a `Graph`, EN/EE a `Hypergraph`."""
+    if walk is SimilarityWalk.GRAPH:
+        if not isinstance(structure, Graph):
+            raise PreconditionError("graph walk requires a graph input")
+    elif not isinstance(structure, Hypergraph):
+        raise PreconditionError("EN/EE walks require a hypergraph input")
+
+
 def _walk_measure(structure, v, walk) -> Measure:
     """v's measure under `walk`; the measure functions are looked up per call."""
+    _check_walk(structure, walk)
     if walk is SimilarityWalk.GRAPH:
         return neighbor_measure(structure, v)
     if walk is SimilarityWalk.EN:

@@ -346,3 +346,40 @@ def brute_force_witness(notion, structure, p):
         else:
             raise ValueError(f"unknown notion {notion!r}")
     return {"verdict": True}
+
+
+def _hyperedge_neighbors(h, v):
+    """Every vertex sharing a hyperedge with v, v itself excluded."""
+    return {w for e in h.hyperedges if v in e for w in e} - {v}
+
+
+def multiset_oracle(h, x, y):
+    """The MULTISET level of `hierarchy_level`, from its docstring.
+
+    x and y have the same neighbours, and for every neighbour z the multiset
+    of |e| over the hyperedges through x and z equals that over the
+    hyperedges through y and z. Each hyperedge is scanned per neighbour.
+    """
+    if _hyperedge_neighbors(h, x) != _hyperedge_neighbors(h, y):
+        return False
+    return all(
+        sorted(len(e) for e in h.hyperedges if x in e and z in e)
+        == sorted(len(e) for e in h.hyperedges if y in e and z in e)
+        for z in _hyperedge_neighbors(h, x)
+    )
+
+
+def ee_lemma_oracle(h, x, y):
+    """`ee_lemma_check`, from its docstring.
+
+    The degrees of x and y agree, and every common neighbour z lies in
+    exactly one hyperedge with x and in exactly one hyperedge with y.
+    """
+    if sum(x in e for e in h.hyperedges) != sum(y in e for e in h.hyperedges):
+        return False
+    common = _hyperedge_neighbors(h, x) & _hyperedge_neighbors(h, y)
+    return all(
+        sum(v in e and z in e for e in h.hyperedges) == 1
+        for z in common
+        for v in (x, y)
+    )

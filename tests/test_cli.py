@@ -84,6 +84,14 @@ class TestNeigh:
         path.write_text("".join(f"{u} {v}\n" for u in range(12) for v in range(u)))
         return CliRunner().invoke(main, ["neigh", str(path), "--n", "9"])
 
+    def test_n_at_the_vertex_count_is_answered_at_once(self, runner, tmp_path):
+        path = tmp_path / "k12.edges"
+        path.write_text("".join(f"{u} {v}\n" for u in range(12) for v in range(u)))
+        result = runner.invoke(main, ["neigh", str(path), "--n", "12"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert sorted(result.stdout.splitlines()) == sorted(f"block {v}" for v in range(12))
+
     def test_cap_exit_code(self, k12_n9):
         assert k12_n9.exit_code == 4
 

@@ -159,6 +159,35 @@ class TestResumableRows:
             assert all(i in dist for i, d in want.items() if d < deepest)
         assert row.reach(g.adjacency()) == want
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_rows_grow_whole_levels(self, seed):
+        """After any sequence of calls, `dist` holds exactly the vertices
+        within `depth` hops, and `level` those exactly `depth` hops away."""
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=14)
+        if rng.random() < 0.5:  # a second component, never reached
+            g = Graph(g.vertices + ["u", "w"], g.edge_ids() + [("u", "w")])
+        lengths = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+        n = g.n_vertices()
+        s = rng.randrange(n)
+        want = {g.index[v]: d for v, d in lengths[g.vertices[s]].items()}
+        row = BfsRow(s)
+        for _ in range(rng.randint(1, 5)):
+            sample = rng.sample(range(n), rng.randint(0, min(3, n)))
+            targets = rng.choice([None, sample])
+            radius = rng.choice([None, rng.randint(0, 4)])
+            before = row.depth
+            dist = row.reach(g.adjacency(), targets, radius)
+            assert dist == {i: d for i, d in want.items() if d <= row.depth}
+            at_depth = sorted(i for i, d in want.items() if d == row.depth)
+            assert sorted(row.level) == at_depth
+            if radius is None or row.depth < radius:  # not stopped by the radius
+                assert all(t in dist for t in want if targets is None or t in targets)
+            if row.depth > before and row.level and row.depth != radius:
+                # grown for its targets: the last level grown holds one of them
+                assert any(dist[t] == row.depth for t in targets if t in dist)
+
     def test_stops_at_the_last_target(self):
         g = fixtures.graph("p9")
         row = BfsRow(g.index["1"])

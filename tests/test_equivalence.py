@@ -32,6 +32,8 @@ from equivcurv import (
 
 from support import (
     brute_force_witness,
+    ee_lemma_oracle,
+    multiset_oracle,
     random_connected_graph,
     random_hypergraph,
     random_partition,
@@ -266,6 +268,60 @@ class TestEELemma:
             return
         if ee_orc(h, x, y).kappa == 1 and h.distance(x, y) == 2:
             assert is_strong_structural(h, x, y)
+
+
+def twin_heavy_hypergraph(rng):
+    """Random loop-free hypergraph with repeated hyperedges and near-twins.
+
+    Half the time y is given a copy of every hyperedge through x, with x
+    swapped for y; some copies then lose or gain a member, or repeat, so
+    pairs that agree on some levels and not others are common.
+    """
+    h = random_hypergraph(rng, max_vertices=6, max_hyperedges=6)
+    hyperedges = list(h.hyperedges)
+    hyperedges += [rng.choice(hyperedges) for _ in range(rng.randint(0, 2))]  # repeats
+    if rng.random() < 0.5:
+        x, y = rng.sample(h.vertices, 2)
+        hyperedges = [e for e in hyperedges if y not in e]
+        for e in [e for e in hyperedges if x in e]:
+            copy = [y if v == x else v for v in e]
+            roll = rng.random()
+            others = [v for v in h.vertices if v not in copy]
+            if roll < 0.15 and len(copy) > 2:
+                copy.remove(rng.choice([v for v in copy if v != y]))
+            elif roll < 0.3 and others:
+                copy.append(rng.choice(others))
+            elif roll < 0.4:
+                hyperedges.append(tuple(copy))
+            hyperedges.append(tuple(copy))
+        covered = {v for e in hyperedges for v in e}
+        hyperedges += [(v, x if v != x else y) for v in h.vertices if v not in covered]
+    return Hypergraph(h.vertices, hyperedges)
+
+
+class TestHyperedgeStarOracles:
+    """MULTISET and the EE lemma's hypotheses against oracles that scan
+    `h.hyperedges` per common neighbour."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_every_pair(self, seed):
+        h = twin_heavy_hypergraph(random.Random(seed))
+        for x in h.vertices:
+            for y in h.vertices:
+                multiset = HierarchyLevel.MULTISET in hierarchy_level(h, x, y)
+                assert multiset == multiset_oracle(h, x, y)
+                assert ee_lemma_check(h, x, y) == ee_lemma_oracle(h, x, y)
+
+    def test_repeated_hyperedge_breaks_the_multiset(self):
+        # Same neighbours and the same cardinalities, with other multiplicities.
+        h = parse_hypergraph("x a b\nx a b\ny a b\n")
+        assert not multiset_oracle(h, "x", "y")
+        assert HierarchyLevel.MULTISET not in hierarchy_level(h, "x", "y")
+        twice = parse_hypergraph("x a b\nx a b\ny a b\ny a b\n")
+        assert multiset_oracle(twice, "x", "y")
+        assert HierarchyLevel.MULTISET in hierarchy_level(twice, "x", "y")
+        assert not ee_lemma_check(twice, "x", "y")
 
 
 GRAPH_VERIFIERS = {

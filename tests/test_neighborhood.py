@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivcurv import (
+    Graph,
     Hypergraph,
     PreconditionError,
     ResourceCapError,
@@ -112,6 +113,18 @@ class TestPathMode:
         assert built.n_edges() == 0
         with pytest.raises(TypeError):
             neighborhood_graph(g, 9, override_caps=True)
+
+    def test_n_at_least_the_vertex_count_spends_no_work(self):
+        """A path of n steps has n + 1 vertices: for n >= |V| there is none,
+        and the answer comes with no unit of work spent."""
+        names = [str(i) for i in range(12)]
+        pairs = list(itertools.combinations(names, 2))
+        g12 = neighborhood_graph(Graph(names, pairs), 12, work_budget=1)
+        assert g12.graph.vertices == names
+        assert g12.graph.n_edges() == 0
+        h12 = hyper_neighborhood_graph(Hypergraph(names, pairs), 12, work_budget=1)
+        assert h12.graph.vertices == names
+        assert h12.graph.n_edges() == 0
 
     def test_path_cap_refusal_names_the_cap_its_limit_and_n(self):
         """The work budget is the one guard; its refusal names kind, limit and use."""

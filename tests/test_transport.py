@@ -35,6 +35,8 @@ from equivcurv import (
     neighbor_measure,
     orc,
     parse_graph,
+    similarity_report,
+    similarity_reports,
     wasserstein1,
 )
 
@@ -255,6 +257,40 @@ class TestCurvature:
             assert r.kappa <= 1
             assert (r.kappa == 1 and r.distance == 1) or r.w1 >= 0
             assert (r.w1 == 0) == measures_equal(measure(h, x), measure(h, y))
+
+
+ONE_PAIR = {SimilarityWalk.GRAPH: orc, SimilarityWalk.EN: en_orc, SimilarityWalk.EE: ee_orc}
+
+
+def _call(entry, structure, walk):
+    """Run one curvature entry point on the first two vertices under `walk`."""
+    x, y = structure.vertices[:2]
+    if entry == "curvatures":
+        return next(curvatures(structure, [(x, y)], walk))
+    if entry == "similarity_reports":
+        return next(similarity_reports(structure, [(x, y)], walk))
+    if entry == "similarity_report":
+        return similarity_report(structure, x, y, walk)
+    return ONE_PAIR[walk](structure, x, y)
+
+
+class TestWalkFitsStructure:
+    """Every curvature entry point refuses a walk that does not fit the structure:
+    the graph walk needs a Graph, the EN and EE walks a Hypergraph."""
+
+    @pytest.mark.parametrize("walk", list(SimilarityWalk), ids=lambda w: w.value)
+    @pytest.mark.parametrize(
+        "entry", ["one-pair", "curvatures", "similarity_report", "similarity_reports"]
+    )
+    def test_mismatch_is_refused(self, entry, walk):
+        if walk is SimilarityWalk.GRAPH:
+            structure = fixtures.hypergraph("h1")
+            message = "^graph walk requires a graph input$"
+        else:
+            structure = fixtures.graph("c6")
+            message = "^EN/EE walks require a hypergraph input$"
+        with pytest.raises(PreconditionError, match=message):
+            _call(entry, structure, walk)
 
 
 def composition(rng, total, parts):

@@ -139,7 +139,11 @@ def regular_from_g2(g: Graph) -> ConstructionReport:
 
 
 def regular_from_gn(g: Graph, n: int) -> ConstructionReport:
-    """Components of G_n as regular classes; sound when min degree >= 2."""
+    """Components of G_n as candidate regular classes; `verified` decides.
+
+    `min-degree-2` sufficed for n <= 3 on every graph of at most 7 vertices,
+    but not for n = 4: a triangle and a 4-cycle sharing a vertex fail.
+    """
     _require(g)
     preconditions = [("min-degree-2", g.min_degree() >= 2)]
     return _components_report(g, g, n, "gn-components", preconditions)
@@ -251,7 +255,8 @@ def regular_from_kcycle_removal(
 
 
 def weak_regular_from_h2(h: Hypergraph) -> ConstructionReport:
-    """Components of H_2 as weak regular classes of a connected hypergraph."""
+    """Components of H_2 of a connected hypergraph; `verified` decides whether
+    they are weak regular (hyperedges {a, d}, {a, b, c} give {a}, {b, c, d}: not)."""
     _require(h, "hypergraph must be connected; apply per component")
     return _components_report(
         h, h, 2, "h2-components", [("connected", True)], two_note=True
@@ -259,7 +264,8 @@ def weak_regular_from_h2(h: Hypergraph) -> ConstructionReport:
 
 
 def weak_regular_from_hn(h: Hypergraph, n: int) -> ConstructionReport:
-    """Components of H_n; sound when every vertex has >= 2 neighbours."""
+    """Components of H_n; `verified` decides whether they are weak regular
+    (n = 3 on {a, b}, {a, c}, {b, c, d}: not, with `min-2-neighbours` met)."""
     _require(h)
     preconditions = [
         ("min-2-neighbours", all(len(h.neighbors(v)) >= 2 for v in h.vertices))

@@ -11,14 +11,14 @@ primal-dual (Hungarian) method for the transportation problem on their
 bipartite support graph. The solver keeps integer duals u (sources) and v
 (sinks) with u_i + v_j <= c_ij and moves mass only along cells where
 equality holds, so its final duals certify the optimum of the transported
-part. The coupling witness is deterministic:
-supports are in sorted vertex-id order, and within the transported part
-every scan takes the lowest source index first, then the lowest sink index.
-Every coupling's marginals are checked on its full integer flow; its
-`Fraction` entries are built when first read. W1 = total/scale and
-kappa = (d*scale - total)/(d*scale) are each one `Fraction` of two integers.
-W1 and kappa are unique; the coupling is one optimal coupling among possibly
-many.
+part. The coupling witness is deterministic: supports are in sorted
+vertex-id order, and within the transported part every scan takes the lowest
+source index first, then the lowest sink index. A coupling is kept as the
+solver's block plus the shared diagonal; the block's marginals are checked
+against the masses left after cancellation, and the full flow and its
+`Fraction` entries are built when first read. W1 = total/scale and kappa =
+(d*scale - total)/(d*scale) are each one `Fraction` of two integers. W1 and
+kappa are unique; the coupling is one optimal coupling among possibly many.
 
 `curvatures` is the one place where a walk (`SimilarityWalk`) becomes
 measures and curvatures; `orc`, `en_orc` and `ee_orc` are its one-pair
@@ -39,6 +39,7 @@ import enum
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import mul, sub
 
@@ -71,10 +72,10 @@ class Measure:
     def support(self):
         return list(self._support)
 
-    def _integers(self, scale, size):
-        """Masses times `scale` as integers in support order, zero-padded to `size`."""
+    def _integers(self, scale):
+        """Masses times `scale` as integers in support order."""
         factor = scale // self._den
-        return [q * factor for q in self._nums] + [0] * (size - len(self._nums))
+        return [q * factor for q in self._nums]
 
     def __getitem__(self, v):
         return self.masses.get(v, Fraction(0))
@@ -96,9 +97,9 @@ def measures_equal(mu: Measure, nu: Measure) -> bool:
 
 def _check_marginals(flow, supply, demand):
     """Refuse an integer flow with a negative cell or sums other than supply/demand."""
-    if min(map(min, flow)) < 0:
+    if flow and min(map(min, flow)) < 0:  # an empty flow has no cell to check
         raise PreconditionError("coupling has a negative entry")
-    if [sum(row) for row in flow] != supply or [sum(col) for col in zip(*flow)] != demand:
+    if list(map(sum, flow)) != supply or list(map(sum, zip(*flow))) != demand:
         raise PreconditionError("coupling marginals do not match the measures")
 
 
@@ -120,20 +121,34 @@ class Coupling:
         flow = [[0] * len(cols) for _ in rows]
         for (u, v), m in self._entries.items():
             flow[rows[u]][cols[v]] = m.numerator * (scale // m.denominator)
-        _check_marginals(flow, mu._integers(scale, len(rows)), nu._integers(scale, len(cols)))
+        supply, demand = mu._integers(scale), nu._integers(scale)
+        supply += [0] * (len(rows) - len(supply))
+        demand += [0] * (len(cols) - len(demand))
+        _check_marginals(flow, supply, demand)
 
     @classmethod
-    def _from_flow(cls, sources, targets, flow, scale):
-        """A solver's checked flow over sources x targets; masses are flow / scale."""
+    def _from_block(cls, sources, targets, diagonal, rows, cols, block, scale):
+        """A solve over sources x targets, masses over `scale`: the (i, j, q)
+        `diagonal` cells of shared mass, and the checked `block` over the
+        source positions `rows` and target positions `cols`."""
         coupling = cls.__new__(cls)
-        coupling._entries, coupling._flow = None, (sources, targets, flow, scale)
+        coupling._entries = None
+        coupling._parts = (sources, targets, diagonal, rows, cols, block, scale)
         return coupling
 
     @property
     def entries(self):
-        """Mass per vertex pair; a solver's flow becomes Fractions on first read."""
+        """Mass per vertex pair, row-major in support order; a solve's diagonal
+        and block become one flow, then Fractions, on first read."""
         if self._entries is None:
-            sources, targets, flow, scale = self._flow
+            sources, targets, diagonal, rows, cols, block, scale = self._parts
+            flow = [[0] * len(targets) for _ in sources]
+            for i, j, q in diagonal:
+                flow[i][j] = q
+            for i, got in zip(rows, block):
+                row = flow[i]
+                for j, q in zip(cols, got):
+                    row[j] = q
             self._entries = {
                 (u, v): Fraction(q, scale)
                 for u, row in zip(sources, flow)
@@ -223,7 +238,7 @@ def _solve_transport(supply, demand, cost):
     """
     m, k = len(supply), len(demand)
     sinks = range(k)
-    u = [min(row) for row in cost]
+    u = list(map(min, cost))
     v = [min(map(sub, col, u)) for col in zip(*cost)]
     flow = [[0] * k for _ in range(m)]
     rem_s, rem_d = list(supply), list(demand)
@@ -247,10 +262,51 @@ def _solve_transport(supply, demand, cost):
                         break
             rem_s[i] = s
         while left:
-            sink, pred_s, pred_d = _search(tight, flow, rem_s, rem_d)
-            if sink is None:
-                break
-            left -= _augment(sink, pred_s, pred_d, flow, rem_s, rem_d)
+            # Breadth-first search of the tight residual network from every
+            # source with supply left (pred_s -1), forward over tight cells and
+            # backward over cells that carry flow, up to the first sink j
+            # reached with demand left.
+            pred_s = [-1 if r else None for r in rem_s]
+            pred_d = [None] * k
+            queue = list(compress(range(m), rem_s))
+            for i in queue:  # the list grows while it is read: a FIFO queue
+                for j in tight[i]:
+                    if pred_d[j] is not None:
+                        continue
+                    pred_d[j] = i
+                    if rem_d[j]:
+                        break
+                    for i2, row in enumerate(flow):
+                        if row[j] and pred_s[i2] is None:
+                            pred_s[i2] = j
+                            queue.append(i2)
+                else:
+                    continue
+                break  # sink j has demand left
+            else:
+                break  # no sink with demand left is reachable: raise the duals
+            # Push the path's bottleneck from its start source to sink j.
+            sink, amount = j, rem_d[j]
+            while True:
+                i = pred_d[j]
+                if pred_s[i] == -1:
+                    break
+                j = pred_s[i]
+                if flow[i][j] < amount:
+                    amount = flow[i][j]
+            if rem_s[i] < amount:
+                amount = rem_s[i]
+            rem_s[i] -= amount
+            rem_d[sink] -= amount
+            left -= amount
+            j = sink
+            while True:
+                i = pred_d[j]
+                flow[i][j] += amount
+                if pred_s[i] == -1:
+                    break
+                j = pred_s[i]
+                flow[i][j] -= amount
         if left:
             reached = [i for i, p in enumerate(pred_s) if p is not None]
             unreached = [j for j, p in enumerate(pred_d) if p is None]
@@ -264,89 +320,24 @@ def _solve_transport(supply, demand, cost):
     return flow, total, u, v
 
 
-def _search(tight, flow, rem_s, rem_d):
-    """Breadth-first search of the tight residual network.
-
-    Starts from every source with supply left, goes forward over tight cells
-    and backward over cells that carry flow. Returns (sink, pred_s, pred_d):
-    the first sink reached with demand left (None if there is none), and the
-    predecessor of every reached source (-1 for a start) and sink.
-    """
-    pred_s = [-1 if r else None for r in rem_s]
-    pred_d = [None] * len(rem_d)
-    queue = [i for i, r in enumerate(rem_s) if r]
-    for i in queue:  # the list grows while it is read: a FIFO queue
-        for j in tight[i]:
-            if pred_d[j] is not None:
-                continue
-            pred_d[j] = i
-            if rem_d[j]:
-                return j, pred_s, pred_d
-            for i2, row in enumerate(flow):
-                if row[j] and pred_s[i2] is None:
-                    pred_s[i2] = j
-                    queue.append(i2)
-    return None, pred_s, pred_d
-
-
-def _augment(sink, pred_s, pred_d, flow, rem_s, rem_d):
-    """Push the path's bottleneck from its start source to `sink`; return it."""
-    amount = rem_d[sink]
-    j = sink
-    while True:
-        i = pred_d[j]
-        if pred_s[i] == -1:
-            break
-        j = pred_s[i]
-        if flow[i][j] < amount:
-            amount = flow[i][j]
-    if rem_s[i] < amount:
-        amount = rem_s[i]
-    j = sink
-    while True:
-        i = pred_d[j]
-        flow[i][j] += amount
-        if pred_s[i] == -1:
-            break
-        j = pred_s[i]
-        flow[i][j] -= amount
-    rem_s[i] -= amount
-    rem_d[sink] -= amount
-    return amount
-
-
-def _cost_matrix(sources, targets, dist):
-    """Every cell of the sources x targets cost matrix from `dist`, row-major."""
-    cost = []
-    for u in sources:
-        row = []
-        for v in targets:
-            d = 0 if u == v else dist(u, v)
-            if d is None:
-                raise PreconditionError(
-                    "fully dissimilar supports span components: "
-                    f"no path between {u!r} and {v!r}"
-                )
-            row.append(d)
-        cost.append(row)
-    return cost
+def _hops(d, u, v):
+    """The distance d(u, v), refused when None (u and v in different components)."""
+    if d is None:
+        raise PreconditionError(
+            f"fully dissimilar supports span components: no path between {u!r} and {v!r}"
+        )
+    return d
 
 
 def _matrix_block(cost, sources, targets, shared):
-    """Check a caller's cost matrix; return a reader of its blocks."""
+    """Check a caller's cost matrix over sources x targets; return its block reader."""
     if len(cost) != len(sources) or any(len(row) != len(targets) for row in cost):
         shape = f"{len(sources)} x {len(targets)}"
         raise PreconditionError(f"cost matrix must be |supp mu| x |supp nu| = {shape}")
     for v in shared:
         if cost[bisect_left(sources, v)][bisect_left(targets, v)]:
             raise PreconditionError(f"cost matrix must be 0 at shared vertex {v!r}")
-
-    def block(rows, cols):
-        if len(rows) == len(sources) and len(cols) == len(targets):
-            return cost
-        return [[cost[i][j] for j in cols] for i in rows]
-
-    return block
+    return lambda rows, cols: [[cost[i][j] for j in cols] for i in rows]
 
 
 def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
@@ -372,31 +363,27 @@ def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
     # Support order, so that a refusal names the same vertex under any hash seed.
     shared = sorted(mu.masses.keys() & nu.masses.keys())
     if cost is None:
-        cost = _cost_matrix(sources, targets, dist)
+        cost = [[0 if a == b else _hops(dist(a, b), a, b) for b in targets] for a in sources]
     if not callable(cost):
         cost = _matrix_block(cost, sources, targets, shared)
     scale = lcm(mu._den, nu._den)
-    supply = mu._integers(scale, len(sources))
-    demand = nu._integers(scale, len(targets))
-    # Shared mass stays on (v, v); the solver moves the rest (all, if none is shared).
-    flow = [[0] * len(targets) for _ in sources]
-    rest_s, rest_d = list(supply), list(demand)
+    rest_s, rest_d = mu._integers(scale), nu._integers(scale)
+    # Shared mass stays on (v, v), by construction min(mu(v), nu(v)) there;
+    # the solver moves the rest and its block is checked against the rest.
+    diagonal = []
     for v in shared:
         i, j = bisect_left(sources, v), bisect_left(targets, v)
-        q = flow[i][j] = min(supply[i], demand[j])
-        rest_s[i] -= q
-        rest_d[j] -= q
-    rows = [i for i, q in enumerate(rest_s) if q]
-    cols = [j for j, q in enumerate(rest_d) if q]
-    part, total, _, _ = _solve_transport(
-        [rest_s[i] for i in rows], [rest_d[j] for j in cols], cost(rows, cols)
-    )
-    for i, got in zip(rows, part):
-        row = flow[i]
-        for j, q in zip(cols, got):
-            row[j] = q
-    _check_marginals(flow, supply, demand)
-    return Fraction(total, scale), Coupling._from_flow(sources, targets, flow, scale)
+        s, d = rest_s[i], rest_d[j]
+        q = s if s < d else d
+        rest_s[i], rest_d[j] = s - q, d - q
+        diagonal.append((i, j, q))
+    rows = list(compress(range(len(sources)), rest_s))
+    cols = list(compress(range(len(targets)), rest_d))
+    supply, demand = list(filter(None, rest_s)), list(filter(None, rest_d))
+    block, total, _, _ = _solve_transport(supply, demand, cost(rows, cols))
+    _check_marginals(block, supply, demand)
+    coupling = Coupling._from_block(sources, targets, diagonal, rows, cols, block, scale)
+    return Fraction(total, scale), coupling
 
 
 def _check_walk(structure, walk):
@@ -535,17 +522,19 @@ class _PairCosts:
         for i in rows:
             s = sources[i]
             row = batch._row(s)
+            dist = row.dist  # `reach` grows it in place
             if s in batch.rows:  # a later pair reads it: expand as far as needed
-                dist = row.reach(adj, kept)
+                if not all(map(dist.__contains__, kept)):
+                    row.reach(adj, kept)
             else:  # dropped after this pair, so its dist may take far costs
-                dist = row.reach(adj, kept, r1)
+                row.reach(adj, kept, r1)
                 for t in kept:
                     if t not in dist:
                         if t not in rings:
                             around = BfsRow(t).reach(adj, radius=r2)
                             rings[t] = [w for w, k in around.items() if k == r2]
                         dist[t] = r2 + min(dist[w] for w in rings[t] if w in dist)
-            cost.append([dist[t] for t in kept])
+            cost.append(list(map(dist.__getitem__, kept)))
         return cost
 
 

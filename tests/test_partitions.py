@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,6 +273,74 @@ class TestRemovalEntries:
         with pytest.raises(PreconditionError) as info:
             construct([entry])
         assert str(info.value) == f"removal entry {entry!r} is not two distinct vertices"
+
+
+def _components(vertices, edges):
+    """Connected components of (vertices, edges), each sorted, from networkx."""
+    graph = nx.Graph()
+    graph.add_nodes_from(vertices)
+    graph.add_edges_from(edges)
+    return sorted(sorted(c) for c in nx.connected_components(graph))
+
+
+def _regular_by_scan(neighbours, blocks):
+    """Plain neighbour-block scan: every vertex of a block sees the same set of
+    blocks among its neighbours."""
+    block_of = {v: i for i, block in enumerate(blocks) for v in block}
+    return all(
+        len({frozenset(block_of[w] for w in neighbours[v]) for v in block}) == 1
+        for block in blocks
+    )
+
+
+def _berge_h2_edges(hyperedges):
+    """H_2 from Berge paths x, e1, z, e2, y: distinct vertices, e1 != e2."""
+    edges = set()
+    for i1, e1 in enumerate(hyperedges):
+        for i2, e2 in enumerate(hyperedges):
+            if i1 != i2:
+                for z in set(e1) & set(e2):
+                    edges |= {(x, y) for x in e1 for y in e2 if len({x, z, y}) == 3}
+    return edges
+
+
+class TestConstructionScope:
+    """A met precondition does not make a construction regular; `verified` says
+    so, and the tests' own oracles agree."""
+
+    def test_gn_with_min_degree_2_fails_at_n_4(self):
+        # The triangle 1-3-4 and the 4-cycle 0-2-3-5 share vertex 3.
+        edges = [
+            ("0", "2"), ("0", "5"), ("1", "3"), ("1", "4"), ("2", "3"), ("3", "4"), ("3", "5")
+        ]
+        g = parse_graph("".join(f"{a} {b}\n" for a, b in edges))
+        base = nx.Graph(edges)
+        neighbours = {v: set(base[v]) for v in base}
+        for n, regular in ((2, True), (3, True), (4, False)):
+            gn = [
+                (x, y)
+                for x in base
+                for y in base
+                if x < y and any(len(p) == n + 1 for p in nx.all_simple_paths(base, x, y, n))
+            ]
+            blocks = _components(base, gn)
+            report = regular_from_gn(g, n)
+            assert report.preconditions == [("min-degree-2", True)]
+            assert report.partition == Partition([tuple(b) for b in blocks])
+            assert report.verified is _regular_by_scan(neighbours, blocks) is regular
+        assert blocks == [["0", "1", "2", "4", "5"], ["3"]]
+
+    def test_h2_of_a_connected_hypergraph_not_weak_regular(self):
+        hyperedges = [("a", "d"), ("a", "b", "c")]
+        h = parse_hypergraph("a d\na b c\n")
+        vertices = {v for e in hyperedges for v in e}
+        neighbours = {v: {w for e in hyperedges if v in e for w in e} - {v} for v in vertices}
+        blocks = _components(vertices, _berge_h2_edges(hyperedges))
+        assert blocks == [["a"], ["b", "c", "d"]]
+        report = weak_regular_from_h2(h)
+        assert report.preconditions == [("connected", True)]
+        assert report.partition == Partition([tuple(b) for b in blocks])
+        assert report.verified is _regular_by_scan(neighbours, blocks) is False
 
 
 class TestHypergraphConstructions:

@@ -1,5 +1,6 @@
 """Exact W1 / curvature machinery against brute-force and networkx oracles."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -802,12 +803,13 @@ def _walk_structures():
 
 
 class TestIntegerMarginalCheck:
-    """wasserstein1 checks every flow's marginals on the integer flow."""
+    """wasserstein1 checks every solver block's integer marginals against the
+    masses left once the shared mass is cancelled."""
 
     MU = Measure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
     NU = Measure({"c": Fraction(1, 2), "d": Fraction(1, 2)})
 
-    def _solve_with(self, monkeypatch, change):
+    def _solve_with(self, monkeypatch, change, mu=MU, nu=NU, cost=((0, 1), (1, 0))):
         import equivcurv.transport as transport
 
         original = transport._solve_transport
@@ -818,7 +820,7 @@ class TestIntegerMarginalCheck:
             return flow, total, u, v
 
         monkeypatch.setattr(transport, "_solve_transport", tampered)
-        return wasserstein1(self.MU, self.NU, cost=[[0, 1], [1, 0]])
+        return wasserstein1(mu, nu, cost=[list(row) for row in cost])
 
     def test_unit_moved_between_columns(self, monkeypatch):
         def move(flow):
@@ -835,6 +837,73 @@ class TestIntegerMarginalCheck:
 
         with pytest.raises(PreconditionError, match="coupling has a negative entry"):
             self._solve_with(monkeypatch, negate)
+
+    # b is shared: min(1/2, 1/4) stays on (b, b), so over the scale 4 the solver
+    # moves supply [2, 1] from a, b to demand [1, 2] at c, d, at costs
+    # [[2, 1], [1, 2]]; its one optimal block is [[0, 2], [1, 0]].
+    SHARED_MU = Measure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    SHARED_NU = Measure({"b": Fraction(1, 4), "c": Fraction(1, 4), "d": Fraction(1, 2)})
+    SHARED_COST = ((1, 2, 1), (0, 1, 2))
+
+    def _solve_shared(self, monkeypatch, change):
+        def checked(block):
+            assert block == [[0, 2], [1, 0]]
+            change(block)
+
+        return self._solve_with(
+            monkeypatch, checked, self.SHARED_MU, self.SHARED_NU, self.SHARED_COST
+        )
+
+    def test_shared_vertex_block_as_solved(self, monkeypatch):
+        w1, coupling = self._solve_shared(monkeypatch, lambda block: None)
+        assert w1 == Fraction(3, 4)
+        assert list(coupling.entries.items()) == [
+            (("a", "d"), Fraction(1, 2)),
+            (("b", "b"), Fraction(1, 4)),
+            (("b", "c"), Fraction(1, 4)),
+        ]
+
+    def test_shared_vertex_unit_moved_between_columns(self, monkeypatch):
+        def move(block):
+            block[0][0] += 1
+            block[0][1] -= 1
+
+        with pytest.raises(PreconditionError, match="coupling marginals do not match the measures"):
+            self._solve_shared(monkeypatch, move)
+
+    def test_shared_vertex_negative_cell(self, monkeypatch):
+        def negate(block):  # the marginals still match; only the sign is wrong
+            block[:] = [[-1, 3], [2, -1]]
+
+        with pytest.raises(PreconditionError, match="coupling has a negative entry"):
+            self._solve_shared(monkeypatch, negate)
+
+    def test_shared_vertex_block_with_the_shared_mass(self, monkeypatch):
+        def full(block):  # b's row sums to its whole mass, not to what is left
+            block[1][0] += 1
+
+        with pytest.raises(PreconditionError, match="coupling marginals do not match the measures"):
+            self._solve_shared(monkeypatch, full)
+
+    def test_all_shared_block_is_empty(self, monkeypatch):
+        seen = []
+
+        def record(block):
+            seen.append([list(row) for row in block])
+
+        mu = self.MU
+        w1, coupling = self._solve_with(monkeypatch, record, mu, Measure(mu.masses))
+        assert seen == [[]]
+        assert w1 == 0
+        assert coupling.entries == {("a", "a"): Fraction(1, 2), ("b", "b"): Fraction(1, 2)}
+
+    def test_all_shared_block_with_a_cell(self, monkeypatch):
+        def add(block):  # no row or column is left to carry mass
+            block.append([1])
+
+        mu = self.MU
+        with pytest.raises(PreconditionError, match="coupling marginals do not match the measures"):
+            self._solve_with(monkeypatch, add, mu, Measure(mu.masses))
 
     def test_entries_are_the_flow_over_scale(self):
         for structure, walk in _walk_structures():
@@ -856,6 +925,64 @@ class TestIntegerMarginalCheck:
                 assert list(entries.items()) == _flow_entries(mu, nu, structure.distance)
                 assert r.coupling.entries is entries  # built once, on first read
                 assert Coupling(entries, mu, nu).entries == entries
+
+
+def _witness_problems(count=2000, seed=2718):
+    """Transportation problems of shape 1..12 x 1..12 with costs 0..40. Most
+    draw their costs from a narrow range, so ties between cells are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, k = rng.randint(1, 12), rng.randint(1, 12)
+        top = rng.choice((0, 1, 2, 3, 5, 40))
+        supply = [rng.randint(1, 9) for _ in range(m)]
+        demand = [rng.randint(1, 9) for _ in range(k)]
+        supply, demand = [s * sum(demand) for s in supply], [d * sum(supply) for d in demand]
+        yield supply, demand, [[rng.randint(0, top) for _ in range(k)] for _ in range(m)]
+
+
+def _solver_digest():
+    """sha256 of repr((flow, total, u, v)) of every witness problem's solve."""
+    digest = hashlib.sha256()
+    for problem in _witness_problems():
+        digest.update(repr(_solve_transport(*problem)).encode())
+    return digest.hexdigest()
+
+
+def _coupling_digest():
+    """sha256 of every coupling's entries, in order, for every connected pair
+    of every fixture and of seed-1 benchmark graph1.edges."""
+    digest = hashlib.sha256()
+    for structure, walk in _walk_structures():
+        vertices = structure.vertices
+        pairs = [
+            (x, y)
+            for i, x in enumerate(vertices)
+            for y in vertices[i + 1 :]
+            if structure.distance(x, y) is not None
+        ]
+        for r in curvatures(structure, pairs, walk):
+            digest.update(repr(list(r.coupling.entries.items())).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedWitnesses:
+    """Every flow, total, dual and coupling entry, order included, is pinned.
+
+    The digests were taken while the solver still searched and augmented in
+    helper functions and every coupling was copied into a full flow, so they
+    show that neither the one-loop solver nor the block-plus-diagonal
+    coupling changed a witness.
+    """
+
+    def test_solver_flows_and_duals(self):
+        assert _solver_digest() == (
+            "5757ddcbeaed0265c66828c4f528977961af56f7fc7c43ef93542b8f1ab7cabc"
+        )
+
+    def test_coupling_entries(self):
+        assert _coupling_digest() == (
+            "c6f24f45704eb61fc10511854944195f1c22e50f01f9c5a571a3418cd773fdef"
+        )
 
 
 def _fraction_verdict(masses):

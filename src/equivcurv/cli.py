@@ -246,7 +246,7 @@ def cmd_verify(input_file, partition_file, notion):
 
     try:
         partition = Partition.from_json(json.loads(_read(partition_file)))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ParseError(f"invalid partition JSON: {exc}") from exc
     if notion in ("structural", "regular"):
         structure, kind = _load_graph(input_file), "graph"

@@ -201,17 +201,21 @@ def regular_from_curvature_subcliques(g: Graph, chosen) -> ConstructionReport:
     )
 
 
-def _validate_removal_against_cycles(cycles, removal: RemovalSet, what):
-    removed = removal.edges
-    for cycle in cycles:
-        k = len(cycle)
-        cycle_edges = {
-            frozenset((cycle[i], cycle[(i + 1) % k])) for i in range(k)
-        }
-        if len(cycle_edges & removed) > 1:
-            raise PreconditionError(
-                f"removal set hits {what} {cycle!r} more than once"
-            )
+def _cycle_edges(cycles):
+    """Each cycle with its edge set, built once for every check that follows."""
+    return [(c, {frozenset((c[i - 1], c[i])) for i in range(len(c))}) for c in cycles]
+
+
+def _hit_twice(cycle_edges, removed):
+    """The first cycle, in cycle order, with two or more edges in `removed`."""
+    return next((c for c, edges in cycle_edges if len(edges & removed) > 1), None)
+
+
+def _prune(g, cycles, removal, what):
+    """g less `removal`, which may delete at most one edge of each cycle."""
+    if (hit := _hit_twice(_cycle_edges(cycles), removal.edges)) is not None:
+        raise PreconditionError(f"removal set hits {what} {hit!r} more than once")
+    return g.without_edges(removal.pairs())
 
 
 def regular_from_triangle_removal(g: Graph, removal: RemovalSet) -> ConstructionReport:
@@ -220,8 +224,7 @@ def regular_from_triangle_removal(g: Graph, removal: RemovalSet) -> Construction
     The removal set may delete at most one edge per triangle of g.
     """
     _require(g)
-    _validate_removal_against_cycles(g.triangles(), removal, "triangle")
-    pruned = g.without_edges(removal.pairs())
+    pruned = _prune(g, g.triangles(), removal, "triangle")
     return _components_report(
         g, pruned, 2, "triangle-removal", [("one-edge-per-triangle", True)]
     )
@@ -241,8 +244,8 @@ def regular_from_kcycle_removal(
     _require(g, "graph must be connected")
     if g.min_degree() < 2:
         raise PreconditionError("graph must have min degree >= 2")
-    _validate_removal_against_cycles(g.k_cycles(k), removal, f"{k}-cycle")
-    pruned = g.without_edges(removal.pairs())
+    cycles = g.k_cycles(k) if k <= len(g.vertices) else []  # a k-cycle has k distinct vertices
+    pruned = _prune(g, cycles, removal, f"{k}-cycle")
     if pruned.min_degree() < 2:
         raise PreconditionError("removal creates a vertex of degree < 2")
     preconditions = [
@@ -279,17 +282,14 @@ def enumerate_removal_sets(g: Graph, max_size: int = 3):
     Exponential in `max_size`. Each candidate set costs 1 + (number of
     triangles) units of a removal-set `Budget` of the default work budget.
     """
-    edges = [tuple(e) for e in g.edge_ids() if e[0] != e[1]]
-    triangles = g.triangles()
+    edges = [e for e in g.edge_ids() if e[0] != e[1]]
+    triangles = _cycle_edges(g.triangles())
     charge = Budget("removal-set", DEFAULT_WORK_BUDGET).charge
     out = []
     for size in range(max_size + 1):
         for combo in combinations(edges, size):
             charge(1 + len(triangles))
-            removal = RemovalSet.of(combo)
-            try:
-                _validate_removal_against_cycles(triangles, removal, "triangle")
-            except PreconditionError:
-                continue
-            out.append(removal)
+            removed = frozenset(map(frozenset, combo))
+            if _hit_twice(triangles, removed) is None:
+                out.append(RemovalSet(removed))
     return out

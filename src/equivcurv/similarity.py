@@ -22,7 +22,7 @@ SQRT_SCALE_BITS = 64  # rational sqrt enclosure denominator 2**64
 
 
 class CosineData(namedtuple("CosineData", "eta d_x d_y")):
-    """Exact ingredients of cosine similarity: common-neighbour count and degrees."""
+    """Exact ingredients of cosine similarity: common and own neighbour counts."""
 
     __slots__ = ()
 
@@ -39,12 +39,11 @@ class CosineData(namedtuple("CosineData", "eta d_x d_y")):
 
 
 def cosine_similarity(g_or_h, x, y) -> CosineData:
-    """Common-neighbour count and degrees of x, y, kept exact."""
+    """eta = |N(x) & N(y)|, d_x = |N(x)|, d_y = |N(y)| (not a hypergraph's degree)."""
     nx_, ny_ = g_or_h.neighbors(x), g_or_h.neighbors(y)
-    dx, dy = g_or_h.degree(x), g_or_h.degree(y)
-    if dx == 0 or dy == 0:
+    if not nx_ or not ny_:
         raise PreconditionError("cosine similarity requires positive degrees")
-    return CosineData(eta=len(nx_ & ny_), d_x=dx, d_y=dy)
+    return CosineData(eta=len(nx_ & ny_), d_x=len(nx_), d_y=len(ny_))
 
 
 def curvature_bounds(sigma: CosineData, distance: int):

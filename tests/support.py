@@ -6,6 +6,7 @@ is exponential but exact and entirely independent of the library solver.
 
 import math
 import random
+from itertools import combinations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -383,3 +384,32 @@ def ee_lemma_oracle(h, x, y):
         for z in common
         for v in (x, y)
     )
+
+
+def removal_sets_oracle(g, max_size):
+    """`enumerate_removal_sets(g, max_size)` as edge sets, by brute force.
+
+    Every combination of up to `max_size` non-loop edges, by size and then in
+    `itertools.combinations` order over the edges sorted by vertex index. A
+    set is kept unless some triangle, found by a scan of all vertex triples,
+    has two of its edges in it.
+    """
+    vertices = g.vertices
+    edges = [
+        (u, v)
+        for i, u in enumerate(vertices)
+        for v in vertices[i + 1:]
+        if g.has_edge(u, v)
+    ]
+    triangles = [
+        {frozenset((a, b)), frozenset((b, c)), frozenset((a, c))}
+        for a, b, c in combinations(vertices, 3)
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+    ]
+    out = []
+    for size in range(max_size + 1):
+        for combo in combinations(edges, size):
+            removed = {frozenset(e) for e in combo}
+            if all(len(t & removed) < 2 for t in triangles):
+                out.append(removed)
+    return out

@@ -929,3 +929,48 @@ class TestJsonText:
     def test_other_types_are_refused(self, value):
         with pytest.raises(TypeError):
             json_text(value)
+
+
+class TestCycleLongerThanTheGraph:
+    """kcycle-removal with k > |V| finds no k-cycle and answers at once."""
+
+    def test_k5_on_k4(self, runner, tmp_path):
+        path = tmp_path / "k4.edges"
+        path.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+        result = runner.invoke(
+            main, ["partition", str(path), "--method", "kcycle-removal", "--k", "5"]
+        )
+        assert result.exit_code == 0, result.output
+        names = ["connected", "min-degree-2", "one-edge-per-cycle", "pruned-min-degree-2"]
+        expected = {
+            "method": "kcycle-removal",
+            "preconditions": [{"name": name, "met": True} for name in names],
+            "verified": True,
+            "blocks": [["1"], ["2"], ["3"], ["4"]],
+        }
+        assert result.stdout == json.dumps(expected, indent=2) + "\n"
+
+
+class TestHypergraphSimilarity:
+    def test_h1_sigma_is_one(self, runner, h1):
+        result = runner.invoke(
+            main, ["sim", h1, "--hyper", "--walk", "en", "--pair", "x", "y"]
+        )
+        row = json.loads(result.stdout)["pairs"][0]
+        assert (row["eta"], row["d_x"], row["d_y"]) == (4, 4, 4)
+        assert row["sigma"] == "1.000000000000"
+
+
+class TestDeepPartitionJson:
+    def test_deeply_nested_array_is_invalid_json(self, runner, tmp_path):
+        l3 = tmp_path / "l3.edges"
+        l3.write_text("1 2\n2 3\n3 4\n")
+        part = tmp_path / "deep.json"
+        part.write_text("[" * 100_000)
+        result = runner.invoke(
+            main, ["verify", str(l3), str(part), "--notion", "regular"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: invalid partition JSON: ")
+        assert len(result.stderr.splitlines()) == 1

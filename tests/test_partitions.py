@@ -1,6 +1,8 @@
 """Constructive partitions from neighbourhood-graph components."""
 
+import math
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -12,6 +14,7 @@ from equivcurv import (
     Partition,
     PreconditionError,
     RemovalSet,
+    ResourceCapError,
     enumerate_removal_sets,
     fixtures,
     is_regular_partition,
@@ -29,11 +32,13 @@ from equivcurv import (
     weak_regular_from_h2,
     weak_regular_from_hn,
 )
+import equivcurv.partitions as partitions_module
 
 from support import (
     random_connected_graph,
     random_hypergraph,
     random_min_degree_2_graph,
+    removal_sets_oracle,
 )
 
 
@@ -514,3 +519,79 @@ class TestRefusalMessages:
         assert str(info.value) == (
             "removal set hits triangle ('a', 'b', 'c') more than once"
         )
+
+
+def _complete_graph(n):
+    names = [str(i) for i in range(n)]
+    return Graph(names, list(combinations(names, 2)))
+
+
+class TestRemovalSetOracle:
+    """`enumerate_removal_sets` against a brute-force scan, order and budget included."""
+
+    @staticmethod
+    def _graph(seed):
+        """A random connected graph of at most 9 vertices, sometimes with a loop."""
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=9)
+        if rng.random() < 0.3:
+            v = rng.choice(g.vertices)
+            g = Graph(g.vertices, g.edge_ids() + [(v, v)])
+        return g
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(0, 3))
+    def test_matches_oracle_in_order(self, seed, max_size):
+        g = self._graph(seed)
+        got = enumerate_removal_sets(g, max_size)
+        assert all(isinstance(r, RemovalSet) for r in got)
+        assert [r.edges for r in got] == removal_sets_oracle(g, max_size)
+
+    def test_k8_matches_oracle_in_order(self):
+        g = _complete_graph(8)
+        got = enumerate_removal_sets(g, max_size=3)
+        assert len(got) == 659
+        assert [r.edges for r in got] == removal_sets_oracle(g, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(0, 3), st.integers(0, 10**6))
+    def test_refusal_charges_whole_candidates(self, seed, max_size, pick):
+        # Each candidate costs 1 + T units for T triangles, charged before it
+        # is checked, so a budget B is refused at the first multiple of 1 + T
+        # above B, and the full cost itself is allowed.
+        g = self._graph(seed)
+        per = 1 + sum(nx.triangles(nx.Graph(g.edge_ids())).values()) // 3
+        m = sum(u != v for u, v in g.edge_ids())
+        full = per * sum(math.comb(m, size) for size in range(max_size + 1))
+        budget = pick % full
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partitions_module, "DEFAULT_WORK_BUDGET", budget)
+            with pytest.raises(ResourceCapError) as info:
+                enumerate_removal_sets(g, max_size)
+            patch.setattr(partitions_module, "DEFAULT_WORK_BUDGET", full)
+            assert len(enumerate_removal_sets(g, max_size)) == len(
+                removal_sets_oracle(g, max_size)
+            )
+        exc = info.value
+        assert (exc.cap, exc.limit) == ("removal-set", budget)
+        assert exc.used == per * math.ceil((budget + 1) / per)
+
+
+class TestCycleLongerThanTheGraph:
+    """With k > |V| no k-cycle exists, so kcycle-removal enumerates none."""
+
+    def test_k11_with_k12_answers_within_the_budget(self):
+        # Enumerating K11's paths of 11 vertices would overrun the work budget.
+        g = _complete_graph(11)
+        report = regular_from_kcycle_removal(g, 12, RemovalSet.of([]))
+        assert report.partition.blocks == [(v,) for v in g.vertices]
+        assert report.verified and report.preconditions_met
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_removal_set_is_still_checked(self, n):
+        g = _complete_graph(n)
+        report = regular_from_kcycle_removal(g, n + 1, RemovalSet.of([("0", "1")]))
+        assert report.partition.blocks == [(v,) for v in g.vertices]
+        star = RemovalSet.of([("0", str(v)) for v in range(1, n - 1)])
+        with pytest.raises(PreconditionError, match="vertex of degree < 2"):
+            regular_from_kcycle_removal(g, n + 1, star)

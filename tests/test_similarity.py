@@ -29,6 +29,7 @@ from support import (
     fraction_bounds_hold,
     fraction_curvature_bounds,
     random_connected_graph,
+    random_hypergraph,
     random_pair_list,
     random_structure,
     reference_curvature,
@@ -324,3 +325,30 @@ class TestBatchedReports:
             similarity_report(g, "a", "b").kappa, None, Fraction(0)
         ]
         assert reports[1].distance is None and reports[1].fully_dissimilar
+
+
+class TestHypergraphCosine:
+    """On a hypergraph, d_x and d_y count neighbours, not incident hyperedges."""
+
+    def test_h1_pair(self):
+        sigma = cosine_similarity(fixtures.hypergraph("h1"), "x", "y")
+        assert (sigma.eta, sigma.d_x, sigma.d_y) == (4, 4, 4)
+        assert sigma.is_one() and sigma.value == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_sigma_at_most_one(self, seed):
+        rng = random.Random(seed)
+        h = random_hypergraph(rng)
+        x, y = rng.sample(h.vertices, 2)
+        sigma = cosine_similarity(h, x, y)
+        nx_, ny_ = h.neighbors(x), h.neighbors(y)
+        assert (sigma.eta, sigma.d_x, sigma.d_y) == (len(nx_ & ny_), len(nx_), len(ny_))
+        assert sigma.eta <= min(sigma.d_x, sigma.d_y)
+        assert sigma.is_one() == (nx_ == ny_)
+
+    def test_vertex_without_neighbours_rejected(self):
+        # z lies in a hyperedge of its own, so it has degree 1 and no neighbour.
+        h = Hypergraph(["a", "b", "z"], [("a", "b"), ("z",)])
+        with pytest.raises(PreconditionError, match="requires positive degrees"):
+            cosine_similarity(h, "a", "z")

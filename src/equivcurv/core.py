@@ -397,10 +397,13 @@ class Graph(_Indexed):
         enters no vertex below its start, so each cycle is rooted at its least
         vertex (Johnson, 1975); every path of k - 1 steps is closed by an edge
         back to the start. The enumeration is charged to `work_budget` as in
-        `simple_paths`: one unit per path that lies above its start.
+        `simple_paths`: one unit per path that lies above its start. With
+        k > |V| no k-cycle exists, so the answer is [] with no search.
         """
         if k < 3:
             raise PreconditionError("k-cycles require k >= 3")
+        if k > len(self.vertices):
+            return []
         adjsets = [set(a) for a in self._adj]
         cycles = []
         paths = simple_paths(self.path_steps(), k - 1, work_budget, above_start=True)

@@ -27,8 +27,11 @@ not fit the structure is refused before any measure is built. Within one
 call it builds each vertex's measure at most once and each BFS row at most
 once. A row grows whole levels, only as far as the current pair needs (y for
 d(x, y), supp mu_y for the costs), is resumed by later pairs, and is dropped
-once no later pair reads it. A row no later pair reads stops halfway and
-meets the targets it misses from their side; a one-off d(x, y) is met from
+once no later pair reads it. A row no later pair reads searches d + 1 hops,
+not d + 2: r1 = (d + 2) // 2 from its source, then r2 = d + 1 - r1 around
+each target it misses. Every cost lies in [d - 2, d + 2], and r2 <= r1, so
+a shortest path to a missed target crosses that target's ring at r2 hops; a
+cell the two searches do not meet is d + 2. A one-off d(x, y) is met from
 both ends. A source whose whole mass is shared gets no row and no cost cell
 for its pair.
 """
@@ -511,12 +514,16 @@ class _PairCosts:
         """Costs from the sources at positions `rows` to the targets at `cols`."""
         batch, adj, sources = self.batch, self.batch.adj, self.sources
         kept = [self.targets[j] for j in cols]
-        # Every cost is at most d + 2. A row no later pair reads stops once it
-        # holds every vertex within r1 hops; a target v it misses lies further
-        # off, and a shortest path to it passes within r1 hops at exactly r2
-        # hops from v, so d(s, v) = r2 + min(dist_s over v's ring at r2 hops).
-        r1 = (self.d + 3) // 2
-        r2 = self.d + 2 - r1
+        # Every cost lies in [d - 2, d + 2], so a row no later pair reads
+        # searches d + 1 hops in all: r1 from s, then r2 = d + 1 - r1 <= r1
+        # around each target v it misses. Such a v lies beyond r1 >= r2 hops,
+        # so a shortest path to it crosses v's ring at exactly r2 hops, and
+        # d(s, v) = r2 + min(dist_s over that ring) when the ring meets the
+        # row; when it does not, d(s, v) > d + 1, so it is d + 2. Far costs
+        # stay out of `dist`, whose entries are all hop counts of at most r1.
+        far = self.d + 2
+        r1 = far // 2
+        r2 = far - 1 - r1
         rings = {}  # target -> the vertices exactly r2 hops from it
         cost = []
         for i in rows:
@@ -526,15 +533,21 @@ class _PairCosts:
             if s in batch.rows:  # a later pair reads it: expand as far as needed
                 if not all(map(dist.__contains__, kept)):
                     row.reach(adj, kept)
-            else:  # dropped after this pair, so its dist may take far costs
+                cost.append(list(map(dist.__getitem__, kept)))
+            else:  # dropped after this pair
                 row.reach(adj, kept, r1)
+                got = []
                 for t in kept:
-                    if t not in dist:
-                        if t not in rings:
-                            around = BfsRow(t).reach(adj, radius=r2)
-                            rings[t] = [w for w, k in around.items() if k == r2]
-                        dist[t] = r2 + min(dist[w] for w in rings[t] if w in dist)
-            cost.append(list(map(dist.__getitem__, kept)))
+                    c = dist.get(t)
+                    if c is None:
+                        ring = rings.get(t)
+                        if ring is None:
+                            around = BfsRow(t)
+                            around.reach(adj, radius=r2)
+                            ring = rings[t] = around.level
+                        c = min([dist[w] + r2 for w in ring if w in dist], default=far)
+                    got.append(c)
+                cost.append(got)
         return cost
 
 

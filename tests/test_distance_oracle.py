@@ -1,8 +1,11 @@
 """Every distance the library computes equals networkx shortest-path lengths.
 
-One-off distances are met from both ends, and a cost row that no later pair
-reads stops halfway and meets far targets from their side; rows kept for a
-later pair expand as far as they need. All of them must stay exact.
+One-off distances are met from both ends. A cost row that no later pair reads
+searches d + 1 hops, not d + 2: r1 = (d + 2) // 2 from its source, then
+r2 = d + 1 - r1 <= r1 around each target it misses, so a shortest path to
+that target crosses its ring. Every cost is at most d + 2, so a cell the two
+searches do not meet is d + 2. Rows kept for a later pair expand as far as
+they need. All of them must stay exact.
 """
 
 import random
@@ -140,3 +143,41 @@ class TestDistanceOracle:
             offsets |= check_batch(g, pairs, walk, lengths, seen)
         if n >= 7:  # long enough for d(u, v) = d + 2
             assert {-2, 2} <= offsets
+
+
+def gnm_graph(n, m, seed):
+    """networkx's G(n, m) on ids '0', '1', ..., cut to its largest component."""
+    nxg = nx.gnm_random_graph(n, m, seed=seed)
+    nxg = nxg.subgraph(max(nx.connected_components(nxg), key=len))
+    return Graph([str(v) for v in nxg], [(str(a), str(b)) for a, b in nxg.edges()])
+
+
+def check_far_pairs(g, pairs, lengths):
+    """Each pair in its own call, so every row is one-off; every cell is exact."""
+    with costs_seen() as seen:
+        for pair in pairs:
+            check_batch(g, [pair], SimilarityWalk.GRAPH, lengths, seen)
+
+
+class TestOneOffRows:
+    """A row no later pair reads searches d + 1 hops; an unmet cell is d + 2."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(10, 30).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(n - 1, n * 8 // 5), st.integers(0, 10_000))
+    ))
+    def test_sparse_graph_pairs_at_distance_3_or_more(self, drawn):
+        g = gnm_graph(*drawn)
+        lengths = lengths_of(g)
+        pairs = [(x, y) for x in g.vertices for y in g.vertices if lengths[x][y] >= 3]
+        check_far_pairs(g, pairs, lengths)
+
+    def test_far_cost_is_not_read_as_a_ring_distance(self):
+        # d('0', '2') = 3, so r1 = 2 and r2 = 2. Source '9' reaches no target
+        # within 2 hops. Cell ('9', '11') is 5 = d + 2: no vertex of 11's ring
+        # lies within 2 hops of '9'. Targets '1' and '10' come first in the row
+        # and lie on that ring; read back as ring distances, their costs (5 and
+        # 4) would give 6.
+        g = gnm_graph(14, 17, 13)
+        assert len(g.vertices) == 14
+        check_far_pairs(g, [("0", "2")], lengths_of(g))

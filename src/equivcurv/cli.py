@@ -13,8 +13,9 @@ import collections
 import importlib.util
 import os
 import sys
+from itertools import combinations
 
-from .core import Graph, Partition, parse_graph, parse_hypergraph
+from .core import Partition, parse_graph, parse_hypergraph
 from .errors import EquivCurvError, ParseError, PreconditionError
 
 
@@ -66,12 +67,8 @@ def _integer(name, text):
         raise ParseError(f"{name} must be an integer, got {text!r}") from None
 
 
-def _load_graph(path):
-    return parse_graph(_read(path))
-
-
-def _load_hypergraph(path):
-    return parse_hypergraph(_read(path))
+def _load(path, hyper):
+    return (parse_hypergraph if hyper else parse_graph)(_read(path))
 
 
 def _read(path):
@@ -119,10 +116,10 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
             raise PreconditionError("hypergraph neighbourhoods support path mode only")
         if check_inclusions:
             raise PreconditionError("inclusion checks apply to graphs only")
-        structure = _load_hypergraph(input_file)
+        structure = _load(input_file, hyper=True)
         result = neighborhood.hyper_neighborhood_graph(structure, n)
     else:
-        structure = _load_graph(input_file)
+        structure = _load(input_file, hyper=False)
         result = neighborhood.neighborhood_graph(
             structure, n, neighborhood.WalkMode(mode)
         )
@@ -138,16 +135,6 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
             sys.exit(PreconditionError.exit_code)
 
 
-def _component_pairs(structure):
-    """Upper-triangular pairs within each connected component, sorted."""
-    graph = structure if isinstance(structure, Graph) else structure.associated_graph()
-    for block in graph.connected_components().blocks:
-        ordered = sorted(block, key=structure.index.__getitem__)
-        for i, x in enumerate(ordered):
-            for y in ordered[i + 1 :]:
-                yield x, y
-
-
 def _pairs_input(input_file, pairs, all_pairs, hyper, walk):
     """Check the pair options and the walk, load the input, list the pairs."""
     if not pairs and not all_pairs:
@@ -157,9 +144,12 @@ def _pairs_input(input_file, pairs, all_pairs, hyper, walk):
         raise UsageError("use --walk en or --walk ee with --hyper")
     if not hyper and walk is not transport.SimilarityWalk.GRAPH:
         raise UsageError("--walk en/ee requires --hyper")
-    structure = _load_hypergraph(input_file) if hyper else _load_graph(input_file)
-    wanted = list(pairs) if pairs else list(_component_pairs(structure))
-    return structure, walk, wanted
+    structure = _load(input_file, hyper)
+    if not pairs:  # --all: each component lists its vertices by dense index
+        graph = structure.associated_graph() if hyper else structure
+        blocks = graph.connected_components().blocks
+        pairs = [p for block in blocks for p in combinations(block, 2)]
+    return structure, walk, list(pairs)
 
 
 def cmd_curvature(input_file, pairs, all_pairs, hyper, walk):
@@ -197,7 +187,7 @@ def _parse_edge_options(values):
 def cmd_partition(input_file, method, n, k, removed, chosen):
     """Run a partition construction and emit its report as JSON."""
     if method in ("h2", "hn"):
-        h = _load_hypergraph(input_file)
+        h = _load(input_file, hyper=True)
         if method == "h2":
             report = partitions.weak_regular_from_h2(h)
         else:
@@ -205,7 +195,7 @@ def cmd_partition(input_file, method, n, k, removed, chosen):
                 raise UsageError("--n is required for method hn")
             report = partitions.weak_regular_from_hn(h, n)
     else:
-        g = _load_graph(input_file)
+        g = _load(input_file, hyper=False)
         if method == "g2":
             report = partitions.regular_from_g2(g)
         elif method == "gn":
@@ -248,11 +238,10 @@ def cmd_verify(input_file, partition_file, notion):
         partition = Partition.from_json(json.loads(_read(partition_file)))
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ParseError(f"invalid partition JSON: {exc}") from exc
-    if notion in ("structural", "regular"):
-        structure, kind = _load_graph(input_file), "graph"
-    else:
-        structure, kind = _load_hypergraph(input_file), "hypergraph"
+    hyper = notion not in ("structural", "regular")
+    structure = _load(input_file, hyper)
     if not partition.covers(structure.vertices):
+        kind = "hypergraph" if hyper else "graph"
         raise ParseError(f"partition does not cover the {kind}'s vertex set")
     verifier = getattr(equivalence, _VERIFIERS[notion])
     print(json_text(verifier(structure, partition).to_json()))

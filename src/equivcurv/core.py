@@ -422,6 +422,7 @@ class Hypergraph(_Indexed):
     def __init__(self, vertices, hyperedges):
         super().__init__(vertices)
         self.hyperedges = []
+        self._members = []  # per hyperedge, its members' dense indices
         self._incidence = [[] for _ in self.vertices]
         self._has_loops = False
         for e in hyperedges:
@@ -436,6 +437,7 @@ class Hypergraph(_Indexed):
             for i in ids:
                 self._incidence[i].append(len(self.hyperedges))
             self.hyperedges.append(e)
+            self._members.append(ids)
         self._graph = None
 
     def has_loops(self):
@@ -444,8 +446,7 @@ class Hypergraph(_Indexed):
     def path_steps(self):
         """Per vertex, every (hyperedge id, other member) step, for `simple_paths`."""
         steps = [[] for _ in self.vertices]
-        for e, members in enumerate(self.hyperedges):
-            ids = [self.index[v] for v in members]
+        for e, ids in enumerate(self._members):
             for i in ids:
                 steps[i].extend((e, j) for j in ids if j != i)
         return steps
@@ -478,8 +479,7 @@ class Hypergraph(_Indexed):
         """
         if self._graph is None:
             nbrs = [set() for _ in self.vertices]
-            for e in self.hyperedges:
-                ids = set(map(self.index.__getitem__, e))
+            for ids in map(set, self._members):
                 for i in ids:
                     nbrs[i].update(ids - {i} or ids)  # a singleton is a loop
             self._graph = Graph._from_sets(self, nbrs)

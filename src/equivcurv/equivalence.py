@@ -240,19 +240,3 @@ def ee_lemma_check(h: Hypergraph, x, y) -> bool:
     common = through_x.keys() & through_y.keys()
     return all(through_x[z] == through_y[z] == 1 for z in common)
 
-
-__all__ = [
-    "EquivalenceWitness",
-    "HierarchyLevel",
-    "is_structural_partition",
-    "is_regular_partition",
-    "structural_classes",
-    "is_weak_structural",
-    "is_strong_structural",
-    "is_weak_structural_partition",
-    "is_strong_structural_partition",
-    "is_weak_regular_partition",
-    "is_strong_regular_partition",
-    "hierarchy_level",
-    "ee_lemma_check",
-]

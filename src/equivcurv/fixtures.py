@@ -47,10 +47,6 @@ def hypergraph(name):
     return parse_hypergraph(HYPERGRAPHS[name])
 
 
-def names():
-    return sorted(GRAPHS) + sorted(HYPERGRAPHS)
-
-
 def checks():
     """Checks over the bundled corpus for the `fixtures` command; yields (name, bool)."""
     from . import equivalence, neighborhood, partitions, transport  # graph() needs none

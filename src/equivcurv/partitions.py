@@ -97,12 +97,15 @@ def _report(verify, structure, partition, method, preconditions, notes=()):
     )
 
 
-def _require(structure, disconnected=None):
-    """Refuse loops; with a message, also refuse a disconnected input."""
+def _require(structure, kind, disconnected=None):
+    """Refuse a structure other than a `kind` (Graph or Hypergraph), then loops;
+    with a message, also refuse a disconnected input."""
+    if not isinstance(structure, kind):
+        raise PreconditionError(f"construction requires a {kind.__name__.lower()} input")
     if structure.has_loops():
         raise PreconditionError(
             "construction requires a loop-free graph"
-            if isinstance(structure, Graph)
+            if kind is Graph
             else "construction requires |e| >= 2 for all hyperedges"
         )
     if disconnected is not None and not structure.is_connected():
@@ -132,7 +135,7 @@ def _components_report(structure, base, n, method, preconditions, two_note=False
 
 def regular_from_g2(g: Graph) -> ConstructionReport:
     """Components of G_2 as regular classes of a connected loop-free graph."""
-    _require(g, "graph must be connected; apply per component")
+    _require(g, Graph, "graph must be connected; apply per component")
     return _components_report(
         g, g, 2, "g2-components", [("connected", True)], two_note=True
     )
@@ -144,7 +147,7 @@ def regular_from_gn(g: Graph, n: int) -> ConstructionReport:
     `min-degree-2` sufficed for n <= 3 on every graph of at most 7 vertices,
     but not for n = 4: a triangle and a 4-cycle sharing a vertex fail.
     """
-    _require(g)
+    _require(g, Graph)
     preconditions = [("min-degree-2", g.min_degree() >= 2)]
     return _components_report(g, g, n, "gn-components", preconditions)
 
@@ -157,7 +160,7 @@ def structural_from_curvature(g: Graph) -> ConstructionReport:
     vertices with one neighbour set share a neighbour w distinct from both,
     so a-w-b is a simple 2-step path and every class is complete in G_2.
     """
-    _require(g, "graph must be connected; apply per component")
+    _require(g, Graph, "graph must be connected; apply per component")
     partition = structural_classes(g)
     preconditions = [("connected", True)]
     return _report(
@@ -173,13 +176,15 @@ def regular_from_curvature_subcliques(g: Graph, chosen) -> ConstructionReport:
     distinct vertices with one neighbour set are joined in G_2 exactly when
     that set is not empty, so no G_2 is built.
     """
-    _require(g)
+    _require(g, Graph)
     chosen = [tuple(sorted(c, key=g._idx)) for c in chosen]
     taken = set()
     for block in chosen:
         for v in block:
             if v in taken:
-                raise PreconditionError(f"vertex {v!r} appears in two chosen sets")
+                raise PreconditionError(
+                    f"vertex {v!r} appears more than once in the chosen sets"
+                )
             taken.add(v)
     for block in chosen:
         for a, b in combinations(block, 2):
@@ -223,7 +228,7 @@ def regular_from_triangle_removal(g: Graph, removal: RemovalSet) -> Construction
 
     The removal set may delete at most one edge per triangle of g.
     """
-    _require(g)
+    _require(g, Graph)
     pruned = _prune(g, g.triangles(), removal, "triangle")
     return _components_report(
         g, pruned, 2, "triangle-removal", [("one-edge-per-triangle", True)]
@@ -241,11 +246,10 @@ def regular_from_kcycle_removal(
     """
     if k < 3:
         raise PreconditionError("k-cycle removal requires k >= 3")
-    _require(g, "graph must be connected")
+    _require(g, Graph, "graph must be connected")
     if g.min_degree() < 2:
         raise PreconditionError("graph must have min degree >= 2")
-    cycles = g.k_cycles(k) if k <= len(g.vertices) else []  # a k-cycle has k distinct vertices
-    pruned = _prune(g, cycles, removal, f"{k}-cycle")
+    pruned = _prune(g, g.k_cycles(k), removal, f"{k}-cycle")
     if pruned.min_degree() < 2:
         raise PreconditionError("removal creates a vertex of degree < 2")
     preconditions = [
@@ -260,7 +264,7 @@ def regular_from_kcycle_removal(
 def weak_regular_from_h2(h: Hypergraph) -> ConstructionReport:
     """Components of H_2 of a connected hypergraph; `verified` decides whether
     they are weak regular (hyperedges {a, d}, {a, b, c} give {a}, {b, c, d}: not)."""
-    _require(h, "hypergraph must be connected; apply per component")
+    _require(h, Hypergraph, "hypergraph must be connected; apply per component")
     return _components_report(
         h, h, 2, "h2-components", [("connected", True)], two_note=True
     )
@@ -269,7 +273,7 @@ def weak_regular_from_h2(h: Hypergraph) -> ConstructionReport:
 def weak_regular_from_hn(h: Hypergraph, n: int) -> ConstructionReport:
     """Components of H_n; `verified` decides whether they are weak regular
     (n = 3 on {a, b}, {a, c}, {b, c, d}: not, with `min-2-neighbours` met)."""
-    _require(h)
+    _require(h, Hypergraph)
     preconditions = [
         ("min-2-neighbours", all(len(h.neighbors(v)) >= 2 for v in h.vertices))
     ]

@@ -42,6 +42,7 @@ import enum
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from math import lcm
 from operator import mul, sub
@@ -447,6 +448,7 @@ class _Batch:
                     self.rows.pop(r, None)
 
     def _row(self, s):
+        """s's BfsRow; kept in `rows` exactly while a later pair reads it."""
         row = self.rows.get(s)
         if row is None:
             row = BfsRow(s)
@@ -486,34 +488,21 @@ class _Batch:
                 raise PreconditionError(
                     f"{x!r} and {y!r} lie in different connected components"
                 )
-        w1, coupling = wasserstein1(mu, nu, cost=_PairCosts(self, sources, targets, d))
+        w1, coupling = wasserstein1(mu, nu, cost=partial(self._costs, sources, targets, d))
         # kappa = 1 - w1/d over one denominator, normalised once.
         p, q = w1.numerator, d * w1.denominator
         return CurvatureResult(
             kappa=Fraction(q - p, q), w1=w1, distance=d, coupling=coupling
         )
 
+    def _costs(self, sources, targets, d, rows, cols):
+        """Costs from the sources at positions `rows` to the targets at `cols`.
 
-class _PairCosts:
-    """One pair's cost matrix over supp mu_x x supp mu_y, read where asked.
-
-    `wasserstein1` calls it with the source and target positions that still
-    hold mass, so a source whose whole mass is shared gets no BFS row and no
-    cost cell. Iterating it reads every row in full.
-    """
-
-    __slots__ = ("batch", "sources", "targets", "d")
-
-    def __init__(self, batch, sources, targets, d):
-        self.batch, self.sources, self.targets, self.d = batch, sources, targets, d
-
-    def __iter__(self):
-        return iter(self(range(len(self.sources)), range(len(self.targets))))
-
-    def __call__(self, rows, cols):
-        """Costs from the sources at positions `rows` to the targets at `cols`."""
-        batch, adj, sources = self.batch, self.batch.adj, self.sources
-        kept = [self.targets[j] for j in cols]
+        `wasserstein1` asks only for the positions that still hold mass, so a
+        source whose whole mass is shared gets no BFS row and no cost cell.
+        """
+        adj = self.adj
+        kept = [targets[j] for j in cols]
         # Every cost lies in [d - 2, d + 2], so a row no later pair reads
         # searches d + 1 hops in all: r1 from s, then r2 = d + 1 - r1 <= r1
         # around each target v it misses. Such a v lies beyond r1 >= r2 hops,
@@ -521,16 +510,16 @@ class _PairCosts:
         # d(s, v) = r2 + min(dist_s over that ring) when the ring meets the
         # row; when it does not, d(s, v) > d + 1, so it is d + 2. Far costs
         # stay out of `dist`, whose entries are all hop counts of at most r1.
-        far = self.d + 2
+        far = d + 2
         r1 = far // 2
         r2 = far - 1 - r1
         rings = {}  # target -> the vertices exactly r2 hops from it
         cost = []
         for i in rows:
             s = sources[i]
-            row = batch._row(s)
+            row = self._row(s)
             dist = row.dist  # `reach` grows it in place
-            if s in batch.rows:  # a later pair reads it: expand as far as needed
+            if s in self.rows:  # a later pair reads it: expand as far as needed
                 if not all(map(dist.__contains__, kept)):
                     row.reach(adj, kept)
                 cost.append(list(map(dist.__getitem__, kept)))

@@ -900,6 +900,30 @@ def _fixture_commands():
             yield name, fixtures.HYPERGRAPHS[name], args
 
 
+class TestEndOfOptions:
+    """After `--` every argument is positional, even one that starts with "-"."""
+
+    @pytest.fixture
+    def dash_named(self, tmp_path, monkeypatch):
+        (tmp_path / "-g.edges").write_text("1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n")
+        monkeypatch.chdir(tmp_path)
+
+    def test_input_named_like_an_option(self, runner, dash_named):
+        marked = runner.invoke(main, ["neigh", "--n", "2", "--", "-g.edges"])
+        plain = runner.invoke(main, ["neigh", "./-g.edges", "--n", "2"])
+        assert marked.exit_code == plain.exit_code == 0
+        assert marked.stdout == plain.stdout != ""
+
+    @pytest.mark.parametrize("args, message", [
+        (["-g.edges", "--n", "2"], "no such option '-g.edges'"),
+        (["--n", "2", "--", "-g.edges", "extra"], "unexpected extra argument 'extra'"),
+    ])
+    def test_usage_errors(self, runner, dash_named, args, message):
+        result = runner.invoke(main, ["neigh", *args])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
+
 class TestJsonText:
     """`json_text` writes exactly what `json.dumps(data, indent=2)` writes."""
 

@@ -66,7 +66,10 @@ def costs_seen():
     solve = transport.wasserstein1
 
     def recording(mu, nu, dist=None, *, cost=None):
-        if cost is not None:
+        if callable(cost):  # the block reader, over every position
+            seen.append((mu.support(), nu.support(),
+                         cost(range(len(mu.support())), range(len(nu.support())))))
+        elif cost is not None:
             seen.append((mu.support(), nu.support(), [list(r) for r in cost]))
         return solve(mu, nu, dist, cost=cost)
 

@@ -15,8 +15,11 @@ from equivcurv import (
     PreconditionError,
     RemovalSet,
     ResourceCapError,
+    WalkMode,
     enumerate_removal_sets,
     fixtures,
+    hyper_neighborhood_graph,
+    inclusion_check,
     is_regular_partition,
     is_weak_regular_partition,
     neighborhood_graph,
@@ -138,6 +141,13 @@ class TestCurvatureConstructions:
             regular_from_curvature_subcliques(
                 fixtures.graph("fig3"), [("a", "b"), ("b", "q")]
             )
+
+    @pytest.mark.parametrize("chosen", [[("a", "a")], [("a", "b"), ("a", "q")]])
+    def test_subcliques_vertex_chosen_twice(self, chosen):
+        # Twice in one set or once in each of two: the message fits both.
+        with pytest.raises(PreconditionError) as info:
+            regular_from_curvature_subcliques(fixtures.graph("fig3"), chosen)
+        assert str(info.value) == "vertex 'a' appears more than once in the chosen sets"
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))
@@ -436,6 +446,26 @@ def refusal(construct, structure):
     with pytest.raises(PreconditionError) as info:
         construct(structure)
     return str(info.value)
+
+
+# Each call given the other kind of structure, with the kind it requires.
+WRONG_KIND = [
+    *((f"{m}(h)", c, "graph") for m, c in GRAPH_CONSTRUCTIONS.items()),
+    *((f"{m}(g)", c, "hypergraph") for m, c in HYPERGRAPH_CONSTRUCTIONS.items()),
+    *((f"neighborhood_graph(h, 2, {mode.value})",
+       lambda s, mode=mode: neighborhood_graph(s, 2, mode), "graph") for mode in WalkMode),
+    ("hyper_neighborhood_graph(g, 2)", lambda s: hyper_neighborhood_graph(s, 2), "hypergraph"),
+    ("inclusion_check(h, 2)", lambda s: inclusion_check(s, 2), "graph"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, kind", [(c, k) for _, c, k in WRONG_KIND], ids=[i for i, _, _ in WRONG_KIND]
+)
+def test_other_kind_of_structure_refused(call, kind):
+    structure = fixtures.hypergraph("h1") if kind == "graph" else fixtures.graph("c6")
+    with pytest.raises(PreconditionError, match=f" a {kind} input$"):
+        call(structure)
 
 
 class TestRefusalMessages:

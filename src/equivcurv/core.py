@@ -32,11 +32,8 @@ class Partition:
                     raise PreconditionError(f"vertex {v!r} appears in two blocks")
                 self.block_of[v] = i
 
-    def vertex_set(self):
-        return set(self.block_of)
-
     def covers(self, vertices):
-        return self.vertex_set() == set(vertices)
+        return set(self.block_of) == set(vertices)
 
     def to_json(self):
         return {"blocks": [list(b) for b in self.blocks]}
@@ -489,6 +486,16 @@ class Hypergraph(_Indexed):
         return self.associated_graph().is_connected()
 
 
+def require(structure, kind, subject, loop_free=None):
+    """Refuse a structure other than a `kind` (Graph or Hypergraph) with
+    "{subject} a graph input" (or "a hypergraph input"); given `loop_free`,
+    then refuse loops with "{subject} {loop_free}"."""
+    if not isinstance(structure, kind):
+        raise PreconditionError(f"{subject} a {kind.__name__.lower()} input")
+    if loop_free is not None and structure.has_loops():
+        raise PreconditionError(f"{subject} {loop_free}")
+
+
 def parse_graph(text):
     """Parse edge-list text: one edge per line, 1 token = loop, '#' comments.
 
@@ -502,20 +509,14 @@ def parse_graph(text):
     """
     if "#" not in text and set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
         return _parse_pairs(text)
-    index, nbrs = {}, []  # one pass: a new token gets the next dense index
+    edges = []
     for lineno, tokens in _strip_comments(text):
         if len(tokens) > 2:
             raise ParseError(
                 f"expected 1 or 2 tokens, got {len(tokens)}", line=lineno
             )
-        for v in tokens:
-            if v not in index:
-                index[v] = len(nbrs)
-                nbrs.append(set())
-        i, j = index[tokens[0]], index[tokens[-1]]
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return Graph._from_lists(list(index), index, _link(nbrs))
+        edges.append(tokens)
+    return Graph([v for e in edges for v in e], edges)
 
 
 def _parse_pairs(text):

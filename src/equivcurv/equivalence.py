@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, namedtuple
 
-from .core import Graph, Hypergraph, Partition
+from .core import Graph, Hypergraph, Partition, require
 from .errors import PreconditionError
 
 
@@ -100,6 +100,7 @@ def is_structural_partition(g: Graph, p: Partition) -> EquivalenceWitness:
 
     A loop at v puts v in its own neighbour set and is compared verbatim.
     """
+    require(g, Graph, "structural partitions require")
     return _signature_check(g, p, g.neighbors, _neighbor_violation)
 
 
@@ -109,6 +110,7 @@ def is_regular_partition(g: Graph, p: Partition) -> EquivalenceWitness:
     Checked symmetrically in each pair: both directions of the existential
     condition are required.
     """
+    require(g, Graph, "regular partitions require")
     return _signature_check(
         g, p, lambda v: _neighbor_blocks(g, p, v), _block_violation
     )
@@ -120,8 +122,7 @@ def structural_classes(g: Graph) -> Partition:
     Equals the grouping by pairwise curvature 1 on connected loop-free graphs.
     Blocks are ordered by their smallest dense index.
     """
-    if g.has_loops():
-        raise PreconditionError("structural classes require a loop-free graph")
+    require(g, Graph, "structural classes require", "a loop-free graph")
     groups = {}
     for v in g.vertices:
         groups.setdefault(frozenset(g.neighbors(v)), []).append(v)
@@ -134,6 +135,7 @@ def structural_classes(g: Graph) -> Partition:
 
 def is_weak_structural(h: Hypergraph, x, y) -> bool:
     """Weak structural equivalence: identical neighbour sets."""
+    require(h, Hypergraph, "weak structural equivalence requires")
     return h.neighbors(x) == h.neighbors(y)
 
 
@@ -155,21 +157,25 @@ def is_strong_structural(h: Hypergraph, x, y) -> bool:
     symmetrically. (The hierarchy level STRONG is the stricter bijective
     star-matching notion; see `hierarchy_level`.)
     """
+    require(h, Hypergraph, "strong structural equivalence requires")
     return _star(h, x).keys() == _star(h, y).keys()
 
 
 def is_weak_structural_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
     """Every block weak structurally equivalent; the witness names the pair."""
+    require(h, Hypergraph, "weak structural partitions require")
     return _signature_check(h, p, h.neighbors, _pair_violation)
 
 
 def is_strong_structural_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
     """Every block strong structurally equivalent; the witness names the pair."""
+    require(h, Hypergraph, "strong structural partitions require")
     return _signature_check(h, p, lambda v: _star(h, v).keys(), _pair_violation)
 
 
 def is_weak_regular_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
     """Weak regular equivalence: neighbour blocks match, cardinalities ignored."""
+    require(h, Hypergraph, "weak regular partitions require")
     return _signature_check(
         h, p, lambda v: _neighbor_blocks(h, p, v), _block_violation
     )
@@ -177,6 +183,7 @@ def is_weak_regular_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness
 
 def is_strong_regular_partition(h: Hypergraph, p: Partition) -> EquivalenceWitness:
     """Strong regular equivalence: witnessing hyperedges must match in |e|."""
+    require(h, Hypergraph, "strong regular partitions require")
 
     def signature(v):
         return {(p.block_of[w], card) for w, card in _star(h, v)}
@@ -207,16 +214,15 @@ def hierarchy_level(h: Hypergraph, x, y) -> set:
     contents (hence cardinalities with multiplicity).
     """
     # Imported here, so that loading the verifiers does not load transport.
-    from .transport import ee_measure, ee_weights
+    from .transport import _ee_weights, ee_measure
 
-    if h.has_loops():
-        raise PreconditionError("hierarchy levels require a loop-free hypergraph")
+    require(h, Hypergraph, "hierarchy levels require", "a loop-free hypergraph")
     levels = set()
 
     mu_x, mu_y = (ee_measure(h, v).masses if h.degree(v) else {} for v in (x, y))
     if mu_x == mu_y:
         levels.add(HierarchyLevel.EE_MEASURE)
-    if ee_weights(h, x) == ee_weights(h, y):
+    if _ee_weights(h, x) == _ee_weights(h, y):
         levels.add(HierarchyLevel.WEIGHTED_NEIGHBOURHOOD)
 
     if _star(h, x) == _star(h, y):
@@ -232,6 +238,7 @@ def ee_lemma_check(h: Hypergraph, x, y) -> bool:
     True iff every common neighbour of x and y is reached through exactly one
     hyperedge on each side, and the degrees of x and y agree.
     """
+    require(h, Hypergraph, "the EE lemma check requires")
     if h.degree(x) != h.degree(y):
         return False
     # Per neighbour w, the number of hyperedges through both w and x (y).

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, simple_paths
+from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, require, simple_paths
 from .errors import PreconditionError
 
 
@@ -31,16 +31,6 @@ class NeighborhoodGraph(namedtuple("NeighborhoodGraph", "base n mode graph")):
     """The n-neighbourhood `graph` of `base` (a Graph or Hypergraph) in `mode`."""
 
     __slots__ = ()
-
-
-def _check_input(structure, kind, n, subject, loop_free):
-    """Refuse a structure other than a `kind` (Graph or Hypergraph), n < 1, then loops."""
-    if not isinstance(structure, kind):
-        raise PreconditionError(f"{subject} a {kind.__name__.lower()} input")
-    if n < 1:
-        raise PreconditionError("neighbourhood order n must be >= 1")
-    if structure.has_loops():
-        raise PreconditionError(f"{subject} {loop_free}")
 
 
 def _path_nbrs(structure, n, work_budget):
@@ -208,7 +198,9 @@ def neighborhood_graph(
     Path mode enumerates simple paths and is exponential in n. Every mode
     spends at most `work_budget` units and is refused past it, whatever n.
     """
-    _check_input(g, Graph, n, "neighbourhood graphs require", "a loop-free input")
+    if n < 1:
+        raise PreconditionError("neighbourhood order n must be >= 1")
+    require(g, Graph, "neighbourhood graphs require", "a loop-free input")
     if mode is WalkMode.PATH:
         nbrs = _path_nbrs(g, n, work_budget)
     elif mode is WalkMode.WALK or n == 1:  # one step never backtracks
@@ -232,7 +224,9 @@ def hyper_neighborhood_graph(
     associated graph minus loops. Bounded by `work_budget` like path mode in
     `neighborhood_graph`.
     """
-    _check_input(h, Hypergraph, n, "H_n requires", "all hyperedges to have |e| >= 2")
+    if n < 1:
+        raise PreconditionError("neighbourhood order n must be >= 1")
+    require(h, Hypergraph, "H_n requires", "all hyperedges to have |e| >= 2")
     return _from_nbrs(h, n, WalkMode.PATH, _path_nbrs(h, n, work_budget))
 
 

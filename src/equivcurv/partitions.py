@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, Partition
+from .core import DEFAULT_WORK_BUDGET, Budget, Graph, Hypergraph, Partition, require
 from .equivalence import (
     is_regular_partition,
     is_weak_regular_partition,
@@ -97,17 +97,12 @@ def _report(verify, structure, partition, method, preconditions, notes=()):
     )
 
 
+_LOOP_FREE = {Graph: "a loop-free graph", Hypergraph: "|e| >= 2 for all hyperedges"}
+
+
 def _require(structure, kind, disconnected=None):
-    """Refuse a structure other than a `kind` (Graph or Hypergraph), then loops;
-    with a message, also refuse a disconnected input."""
-    if not isinstance(structure, kind):
-        raise PreconditionError(f"construction requires a {kind.__name__.lower()} input")
-    if structure.has_loops():
-        raise PreconditionError(
-            "construction requires a loop-free graph"
-            if kind is Graph
-            else "construction requires |e| >= 2 for all hyperedges"
-        )
+    """`require` a loop-free `kind`; with a message, also refuse a disconnected input."""
+    require(structure, kind, "construction requires", _LOOP_FREE[kind])
     if disconnected is not None and not structure.is_connected():
         raise PreconditionError(disconnected)
 
@@ -286,6 +281,7 @@ def enumerate_removal_sets(g: Graph, max_size: int = 3):
     Exponential in `max_size`. Each candidate set costs 1 + (number of
     triangles) units of a removal-set `Budget` of the default work budget.
     """
+    require(g, Graph, "removal sets require")
     edges = [e for e in g.edge_ids() if e[0] != e[1]]
     triangles = _cycle_edges(g.triangles())
     charge = Budget("removal-set", DEFAULT_WORK_BUDGET).charge

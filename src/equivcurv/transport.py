@@ -47,7 +47,7 @@ from itertools import compress
 from math import lcm
 from operator import mul, sub
 
-from .core import BfsRow, Graph, Hypergraph
+from .core import BfsRow, Graph, Hypergraph, require
 from .errors import PreconditionError
 
 
@@ -114,21 +114,15 @@ class Coupling:
         self._entries = {
             (u, v): Fraction(m) for (u, v), m in entries.items() if m != 0
         }
-        # Marginals are compared as integers, over the lcm of all denominators.
-        # A vertex outside a support gets its own row or column of zero mass.
-        scale = lcm(mu._den, nu._den, *[m.denominator for m in self._entries.values()])
-        rows = {u: i for i, u in enumerate(mu._support)}
-        cols = {v: j for j, v in enumerate(nu._support)}
-        for u, v in self._entries:
-            rows.setdefault(u, len(rows))
-            cols.setdefault(v, len(cols))
-        flow = [[0] * len(cols) for _ in rows]
+        if any(m < 0 for m in self._entries.values()):
+            raise PreconditionError("coupling has a negative entry")
+        # Every entry is positive, so each vertex with mass has a positive sum.
+        rows, cols = {}, {}
         for (u, v), m in self._entries.items():
-            flow[rows[u]][cols[v]] = m.numerator * (scale // m.denominator)
-        supply, demand = mu._integers(scale), nu._integers(scale)
-        supply += [0] * (len(rows) - len(supply))
-        demand += [0] * (len(cols) - len(demand))
-        _check_marginals(flow, supply, demand)
+            rows[u] = rows.get(u, 0) + m
+            cols[v] = cols.get(v, 0) + m
+        if rows != mu.masses or cols != nu.masses:
+            raise PreconditionError("coupling marginals do not match the measures")
 
     @classmethod
     def _from_block(cls, sources, targets, diagonal, rows, cols, block, scale):
@@ -185,8 +179,7 @@ class CurvatureResult(namedtuple("CurvatureResult", "kappa w1 distance coupling"
 
 def neighbor_measure(g: Graph, x) -> Measure:
     """Uniform mass 1/d_x on the neighbours of x."""
-    if g.has_loops():
-        raise PreconditionError("neighbour measures require a loop-free graph")
+    require(g, Graph, "neighbour measures require", "a loop-free graph")
     nbrs = g.neighbors(x)
     if not nbrs:
         raise PreconditionError(f"vertex {x!r} is isolated")
@@ -199,16 +192,18 @@ def en_measure(h: Hypergraph, x) -> Measure:
 
     Singleton hyperedges are loops there, so they are refused the same way.
     """
+    require(h, Hypergraph, "EN measures require")
     return neighbor_measure(h.associated_graph(), x)
 
 
-def ee_weights(h: Hypergraph, x):
-    """Per-neighbour weights sum_{e containing x,z} 1/(|e|-1), unnormalised."""
+def _ee_weights(h: Hypergraph, x):
+    """Per-neighbour weights sum_{e containing x,z} 1/(|e|-1), unnormalised.
+
+    Every caller refuses singleton hyperedges first.
+    """
     weights = {}
     for ei in h.incident_hyperedges(x):
         e = h.hyperedges[ei]
-        if len(e) < 2:
-            raise PreconditionError("EE weights require all hyperedges with |e| >= 2")
         w = Fraction(1, len(e) - 1)
         for z in e:
             if z != x:
@@ -218,12 +213,11 @@ def ee_weights(h: Hypergraph, x):
 
 def ee_measure(h: Hypergraph, x) -> Measure:
     """Equal-edges walk: pick an incident hyperedge, then a vertex inside it."""
-    if h.has_loops():
-        raise PreconditionError("EE measures require a loop-free hypergraph")
+    require(h, Hypergraph, "EE measures require", "a loop-free hypergraph")
     d = h.degree(x)
     if d == 0:
         raise PreconditionError(f"vertex {x!r} has degree 0")
-    return Measure({z: w / d for z, w in ee_weights(h, x).items()})
+    return Measure({z: w / d for z, w in _ee_weights(h, x).items()})
 
 
 def _solve_transport(supply, demand, cost):
@@ -393,10 +387,9 @@ def wasserstein1(mu: Measure, nu: Measure, dist=None, *, cost=None):
 def _check_walk(structure, walk):
     """Refuse a walk that does not fit: graph needs a `Graph`, EN/EE a `Hypergraph`."""
     if walk is SimilarityWalk.GRAPH:
-        if not isinstance(structure, Graph):
-            raise PreconditionError("graph walk requires a graph input")
-    elif not isinstance(structure, Hypergraph):
-        raise PreconditionError("EN/EE walks require a hypergraph input")
+        require(structure, Graph, "graph walk requires")
+    else:
+        require(structure, Hypergraph, "EN/EE walks require")
 
 
 def _walk_measure(structure, v, walk) -> Measure:

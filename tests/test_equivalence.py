@@ -13,7 +13,10 @@ from equivcurv import (
     Partition,
     PreconditionError,
     ee_lemma_check,
+    ee_measure,
     ee_orc,
+    en_measure,
+    enumerate_removal_sets,
     fixtures,
     hierarchy_level,
     is_regular_partition,
@@ -24,6 +27,7 @@ from equivcurv import (
     is_weak_regular_partition,
     is_weak_structural,
     is_weak_structural_partition,
+    neighbor_measure,
     orc,
     parse_graph,
     parse_hypergraph,
@@ -384,3 +388,45 @@ class TestWitnessIdentity:
         p = _some_partition(rng, h)
         for notion, verify in HYPERGRAPH_VERIFIERS.items():
             assert verify(h, p).to_json() == brute_force_witness(notion, h, p)
+
+
+def _whole(s):
+    """The one-block partition of s's vertex set."""
+    return Partition([s.vertices])
+
+
+def _pair(s):
+    return s.vertices[0], s.vertices[1]
+
+
+# Each entry point given the other kind of structure, with the kind it requires.
+OTHER_KIND = [
+    ("is_structural_partition(h)", lambda s: is_structural_partition(s, _whole(s)), "graph"),
+    ("is_regular_partition(h)", lambda s: is_regular_partition(s, _whole(s)), "graph"),
+    ("structural_classes(h)", structural_classes, "graph"),
+    ("neighbor_measure(h)", lambda s: neighbor_measure(s, s.vertices[0]), "graph"),
+    ("is_weak_structural(g)", lambda s: is_weak_structural(s, *_pair(s)), "hypergraph"),
+    ("is_weak_structural_partition(g)",
+     lambda s: is_weak_structural_partition(s, _whole(s)), "hypergraph"),
+    ("is_weak_regular_partition(g)",
+     lambda s: is_weak_regular_partition(s, _whole(s)), "hypergraph"),
+    ("is_strong_structural(g)", lambda s: is_strong_structural(s, *_pair(s)), "hypergraph"),
+    ("is_strong_structural_partition(g)",
+     lambda s: is_strong_structural_partition(s, _whole(s)), "hypergraph"),
+    ("is_strong_regular_partition(g)",
+     lambda s: is_strong_regular_partition(s, _whole(s)), "hypergraph"),
+    ("hierarchy_level(g)", lambda s: hierarchy_level(s, *_pair(s)), "hypergraph"),
+    ("ee_lemma_check(g)", lambda s: ee_lemma_check(s, *_pair(s)), "hypergraph"),
+    ("ee_measure(g)", lambda s: ee_measure(s, s.vertices[0]), "hypergraph"),
+    ("en_measure(g)", lambda s: en_measure(s, s.vertices[0]), "hypergraph"),
+    ("enumerate_removal_sets(h)", enumerate_removal_sets, "graph"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, kind", [(c, k) for _, c, k in OTHER_KIND], ids=[i for i, _, _ in OTHER_KIND]
+)
+def test_entry_point_refuses_other_kind(call, kind):
+    structure = fixtures.hypergraph("h1") if kind == "graph" else fixtures.graph("c6")
+    with pytest.raises(PreconditionError, match=f" a {kind} input$"):
+        call(structure)

@@ -457,7 +457,7 @@ def _accepted(entries, mu, nu):
 
 
 class TestCouplingMarginals:
-    """Coupling checks its marginals in scaled integers, exactly as strictly."""
+    """Coupling checks its marginals as exact Fraction sums."""
 
     def test_column_mismatch(self):
         mu = Measure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
@@ -471,6 +471,23 @@ class TestCouplingMarginals:
         nu = Measure({"c": Fraction(1, 2), "d": Fraction(1, 2)})
         entries = {("a", "c"): Fraction(3, 2), ("a", "d"): Fraction(-1, 2)}
         with pytest.raises(PreconditionError, match="negative entry"):
+            Coupling(entries, mu, nu)
+
+    # c lies outside supp mu yet holds row mass. The rotation a -> c -> b -> a
+    # keeps every row sum over supp mu and every column sum over supp nu
+    # right, so a check that reads only the support keys would accept it.
+    # (Those sums already total 1, so mass off one support means mass off
+    # the other too: here a's column.) The mirror swaps rows and columns.
+    @pytest.mark.parametrize("side", ["outside supp mu", "outside supp nu"])
+    def test_mass_outside_a_support(self, side):
+        half = Fraction(1, 2)
+        mu = Measure({"a": half, "b": half})
+        nu = Measure({"b": half, "c": half})
+        entries = {("c", "b"): half, ("a", "c"): half, ("b", "a"): half}
+        if side == "outside supp nu":
+            mu, nu = nu, mu
+            entries = {(v, u): m for (u, v), m in entries.items()}
+        with pytest.raises(PreconditionError, match="marginals do not match"):
             Coupling(entries, mu, nu)
 
     def test_mixed_denominators_and_ints(self):

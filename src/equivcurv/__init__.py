@@ -10,7 +10,6 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "Bipartition",
         "Graph",
         "Hypergraph",
         "Partition",
@@ -79,7 +78,6 @@ _EXPORTS = {
         "en_measure",
         "en_orc",
         "fraction_str",
-        "measures_equal",
         "neighbor_measure",
         "orc",
         "wasserstein1",

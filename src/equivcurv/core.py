@@ -8,7 +8,6 @@ depend on hash order. Structures are immutable after construction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 
@@ -60,12 +59,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({self.blocks!r})"
-
-
-class Bipartition(namedtuple("Bipartition", "is_bipartite parts")):
-    """`parts` is (part0, part1) as tuples of vertex ids, or None."""
-
-    __slots__ = ()
 
 
 class BfsRow:
@@ -220,12 +213,6 @@ class _Indexed:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
-    def __contains__(self, v):
-        return v in self.index
-
-    def n_vertices(self):
-        return len(self.vertices)
-
 
 class Graph(_Indexed):
     """Loop-permitting simple undirected graph.
@@ -293,10 +280,6 @@ class Graph(_Indexed):
         """Edges as sorted pairs of vertex ids (loops as (v, v))."""
         return [(self.vertices[i], self.vertices[j]) for i, j in self._pairs]
 
-    def has_edge(self, u, v):
-        i, j = self._idx(u), self._idx(v)
-        return (min(i, j), max(i, j)) in self._edges
-
     def has_loops(self):
         return self._has_loops
 
@@ -353,23 +336,6 @@ class Graph(_Indexed):
 
     def is_connected(self):
         return len(self.vertices) <= 1 or len(self.connected_components().blocks) == 1
-
-    def bipartition(self):
-        """2-colouring by BFS parity; requires a connected graph."""
-        if not self.is_connected():
-            raise PreconditionError(
-                "bipartition requires a connected graph; apply per component"
-            )
-        # Connected, so bipartite iff no edge (a loop included) joins two
-        # vertices of equal BFS-depth parity.
-        depth = BfsRow(0).reach(self._adj) if self.vertices else {}
-        if any(depth[i] % 2 == depth[j] % 2 for i, j in self._pairs):
-            return Bipartition(False, None)
-        parts = tuple(
-            tuple(v for i, v in enumerate(self.vertices) if depth[i] % 2 == side)
-            for side in (0, 1)
-        )
-        return Bipartition(True, parts)
 
     # -- paths and small cycles --------------------------------------------
 

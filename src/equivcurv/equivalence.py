@@ -18,7 +18,8 @@ from .errors import PreconditionError
 class EquivalenceWitness(
     namedtuple("EquivalenceWitness", "verdict violation", defaults=(None,))
 ):
-    """`violation` is None or a dict with keys pair, neighbor and block."""
+    """`violation` is None or a dict with keys pair, neighbor and block, plus
+    size for strong-regular; weak and strong structural give pair alone."""
 
     __slots__ = ()
 
@@ -75,20 +76,29 @@ def _neighbor_violation(g, p, a, b, na, nb):
 
 
 def _block_violation(structure, p, a, b, sig_a, sig_b):
-    """For signatures of (neighbour block, ...) tuples.
+    """For signatures of (neighbour block,) or (neighbour block, |e|) tuples.
 
     `having` holds the smallest tuple the other vertex lacks, beta is that
-    tuple's block and `neighbor` is having's first neighbour in beta.
+    tuple's block and `neighbor` is having's first neighbour in beta. For a
+    (block, |e|) tuple the witness adds "size": |e|, and `neighbor` is
+    having's first neighbour in beta through a hyperedge of that size.
     """
     if sig_b - sig_a:
-        lacking, having, beta = a, b, min(sig_b - sig_a)[0]
+        lacking, having, (beta, *size) = a, b, min(sig_b - sig_a)
     else:
-        lacking, having, beta = b, a, min(sig_a - sig_b)[0]
+        lacking, having, (beta, *size) = b, a, min(sig_a - sig_b)
+    if size:
+        nbrs = {w for w, card in _star(structure, having) if card == size[0]}
+    else:
+        nbrs = structure.neighbors(having)
     c = min(
-        (w for w in structure.neighbors(having) if p.block_of[w] == beta),
+        (w for w in nbrs if p.block_of[w] == beta),
         key=structure.index.__getitem__,
     )
-    return {"pair": [lacking, having], "neighbor": c, "block": beta}
+    out = {"pair": [lacking, having], "neighbor": c, "block": beta}
+    if size:
+        out["size"] = size[0]
+    return out
 
 
 def _neighbor_blocks(structure, p, v):

@@ -42,16 +42,6 @@ class RemovalSet(namedtuple("RemovalSet", "edges")):
                 )
         return cls(frozenset(map(frozenset, pairs)))
 
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own `_make`, which `_replace` calls, checks the field
-        # count with `len`, and `len` here counts edges.
-        (edges,) = iterable
-        return cls(edges)
-
-    def __len__(self):
-        return len(self.edges)
-
     def pairs(self):
         return [tuple(sorted(e)) for e in sorted(self.edges, key=sorted)]
 
@@ -63,10 +53,6 @@ class ConstructionReport(namedtuple(
     """`preconditions` holds (name, met) pairs; `witness` is None or a violation."""
 
     __slots__ = ()
-
-    @property
-    def preconditions_met(self):
-        return all(met for _, met in self.preconditions)
 
     def to_json(self):
         out = {

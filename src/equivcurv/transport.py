@@ -94,11 +94,6 @@ class Measure:
         return f"Measure({{{inner}}})"
 
 
-def measures_equal(mu: Measure, nu: Measure) -> bool:
-    """Exact equality of supports and masses (equivalent to W1 = 0)."""
-    return mu == nu
-
-
 def _check_marginals(flow, supply, demand):
     """Refuse an integer flow with a negative cell or sums other than supply/demand."""
     if flow and min(map(min, flow)) < 0:  # an empty flow has no cell to check
@@ -154,15 +149,6 @@ class Coupling:
                 if q
             }
         return self._entries
-
-    def cost(self, dist) -> Fraction:
-        total = Fraction(0)
-        for (u, v), m in self.entries.items():
-            d = dist(u, v)
-            if d is None:
-                raise PreconditionError("coupling moves mass across components")
-            total += m * d
-        return total
 
 
 class SimilarityWalk(enum.Enum):

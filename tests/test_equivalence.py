@@ -32,6 +32,7 @@ from equivcurv import (
     parse_graph,
     parse_hypergraph,
     structural_classes,
+    weak_regular_from_h2,
 )
 
 from support import (
@@ -200,6 +201,29 @@ class TestHypergraphRegular:
         h = parse_hypergraph("a b\nc d e\n")
         p = Partition([("a", "c"), ("b", "d"), ("e",)])
         assert not is_strong_regular_partition(h, p).verdict
+
+    @pytest.mark.parametrize("text", ["a b c\na c\n", "a c\na b c\n"])
+    def test_strong_regular_witness_names_the_missing_size(self, text):
+        # a reaches c through {a, c}; b has no hyperedge of size 2, so the
+        # neighbour is c in either line order, never b itself.
+        h = parse_hypergraph(text)
+        witness = is_strong_regular_partition(h, Partition([h.vertices]))
+        assert witness.violation == {
+            "pair": ["b", "a"], "neighbor": "c", "block": 0, "size": 2
+        }
+
+    @pytest.mark.parametrize("name, violation", [
+        ("h1", {"pair": ["x", "a"], "neighbor": "b", "block": 0, "size": 3}),
+        ("hw", {"pair": ["x", "z"], "neighbor": "y", "block": 0, "size": 2}),
+        ("hx", {"pair": ["x", "a"], "neighbor": "y", "block": 0, "size": 2}),
+    ])
+    def test_strong_regular_witness_on_the_h2_reports(self, name, violation):
+        """Each fixture's own H_2 report is one block; the neighbour shares a
+        hyperedge of the missing size with `having`, not the lacking vertex."""
+        h = fixtures.hypergraph(name)
+        p = weak_regular_from_h2(h).partition
+        assert p.blocks == [tuple(h.vertices)]
+        assert is_strong_regular_partition(h, p).violation == violation
 
 
 ORDER = [

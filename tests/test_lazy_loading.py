@@ -21,10 +21,9 @@ LAYERS = (
     "equivalence", "fixtures", "neighborhood", "partitions", "similarity", "transport"
 )
 
-# Every name `equivcurv/__init__.py` imported when it loaded its modules eagerly.
+# Every public name of the package, under the module that defines it.
 PUBLIC_API = {
-    "core": ["Bipartition", "Graph", "Hypergraph", "Partition", "parse_graph",
-             "parse_hypergraph"],
+    "core": ["Graph", "Hypergraph", "Partition", "parse_graph", "parse_hypergraph"],
     "equivalence": ["EquivalenceWitness", "HierarchyLevel", "ee_lemma_check",
                     "hierarchy_level", "is_regular_partition",
                     "is_strong_regular_partition", "is_strong_structural",
@@ -45,8 +44,7 @@ PUBLIC_API = {
                    "similarity_reports"],
     "transport": ["Coupling", "CurvatureResult", "Measure", "SimilarityWalk",
                   "curvatures", "ee_measure", "ee_orc", "en_measure", "en_orc",
-                  "fraction_str", "measures_equal", "neighbor_measure", "orc",
-                  "wasserstein1"],
+                  "fraction_str", "neighbor_measure", "orc", "wasserstein1"],
 }
 PUBLIC_NAMES = [(m, name) for m, names in PUBLIC_API.items() for name in names]
 

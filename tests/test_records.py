@@ -8,7 +8,6 @@ import pytest
 
 # Record -> (its module, fields in order, defaults of the trailing fields).
 RECORDS = {
-    "Bipartition": ("core", ("is_bipartite", "parts"), {}),
     "EquivalenceWitness": (
         "equivalence", ("verdict", "violation"), {"violation": None}
     ),

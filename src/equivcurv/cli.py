@@ -123,11 +123,15 @@ def cmd_neighborhood(input_file, n, mode, hyper, check_inclusions):
         result = neighborhood.neighborhood_graph(
             structure, n, neighborhood.WalkMode(mode)
         )
-    ids = result.graph.vertices
-    lines = [f"{ids[i]} {ids[j]}\n" for i, j in result.graph.edge_pairs()]
-    blocks = result.graph.connected_components().blocks
-    lines += [f"block {' '.join(block)}\n" for block in blocks]
-    sys.stdout.write("".join(lines))  # one write, not one per line
+    # One write per vertex row: the text of all of Gₙ is never held at once.
+    graph, write = result.graph, sys.stdout.write
+    ids = graph.vertices
+    for i, upper in graph.upper_rows():
+        if upper:
+            u = ids[i]
+            write("".join([f"{u} {ids[j]}\n" for j in upper]))
+    blocks = graph.connected_components().blocks
+    write("".join([f"block {' '.join(block)}\n" for block in blocks]))
     if check_inclusions:
         report = neighborhood.inclusion_check(structure, n)
         print(f"inclusions {'ok' if report.holds else 'VIOLATED'}")

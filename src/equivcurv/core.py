@@ -256,12 +256,18 @@ class Graph(_Indexed):
 
     # -- edges, read off the adjacency on first use ----------------------
 
+    def upper_rows(self):
+        """Per vertex i in dense order, (i, row): the ascending indices j >= i joined
+        to i, so each edge once, from its lower end. This fixes the edge order."""
+        for i, row in enumerate(self._adj):
+            yield i, row[bisect_left(row, i):]
+
     @cached_property
     def _pairs(self):
-        """Edges as (i, j), i <= j, in sorted order: each row from i upwards."""
+        """Edges as (i, j), i <= j, in sorted order (see `upper_rows`)."""
         pairs = []
-        for i, row in enumerate(self._adj):
-            pairs += zip(repeat(i), row[bisect_left(row, i):])
+        for i, upper in self.upper_rows():
+            pairs += zip(repeat(i), upper)
         return tuple(pairs)
 
     @cached_property

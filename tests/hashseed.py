@@ -9,11 +9,13 @@ from the repository root under two string-hash seeds and compare:
     diff hashseed-0.out hashseed-1.out
 
 Graph edge tables (a frozenset among them) are built on first use; every
-command's output is built from the result records. Path mode with n = 4 runs
-the DFS, n = 2 and n = 3 the meet-in-the-middle routine (a middle vertex, a
-middle edge), and n = 9 the answer for n >= |V| (every fixture has at most 9
-vertices); n = 3 also runs in the nb and walk modes, and on hypergraphs in
-path mode with n = 2, 3 and 4. kcycle-removal with k = 4 runs the cycle DFS,
+command's output is built from the result records; `neigh` writes Gₙ one
+vertex row at a time. Path mode with n = 4 runs the DFS, n = 1, 2 and 3 the
+meet-in-the-middle routine (the steps themselves, a middle vertex, a middle
+edge), and n = 9 the answer for n >= |V| (every fixture has at most 9
+vertices); n = 3 also runs in the nb and walk modes and with
+`--check-inclusions`, n = 4 in the nb mode, and on hypergraphs in path mode
+with n = 1, 2, 3 and 4. kcycle-removal with k = 4 runs the cycle DFS,
 and k = 10 the answer for k > |V|. Each fixture's own g2 report (h2 for a
 hypergraph) is then checked by `verify`, which reads the report's blocks,
 under every notion of its kind: 2 for graphs, 4 for hypergraphs.
@@ -28,8 +30,9 @@ from pathlib import Path
 from equivcurv.cli import main as cli_main
 
 GRAPH_COMMANDS = (
-    "curv --all", "neigh --n 2", "neigh --n 3", "neigh --n 3 --mode nb",
-    "neigh --n 3 --mode walk", "neigh --n 9", "partition --method g2",
+    "curv --all", "neigh --n 1", "neigh --n 2", "neigh --n 3", "neigh --n 3 --mode nb",
+    "neigh --n 4 --mode nb", "neigh --n 3 --mode walk", "neigh --n 3 --check-inclusions",
+    "neigh --n 9", "partition --method g2",
     "partition --method gn --n 4", "partition --method structural",
     "partition --method triangle-removal", "partition --method kcycle-removal --k 4",
     "partition --method kcycle-removal --k 10", "sim --all --check-bounds",
@@ -38,7 +41,8 @@ HYPER_COMMANDS = (
     "curv --all --hyper --walk ee", "curv --all --hyper --walk en",
     "sim --all --hyper --walk ee", "sim --all --hyper --walk en",
     "partition --method h2", "partition --method hn --n 3",
-    "neigh --hyper --n 2", "neigh --hyper --n 3", "neigh --hyper --n 4",
+    "neigh --hyper --n 1", "neigh --hyper --n 2", "neigh --hyper --n 3",
+    "neigh --hyper --n 4",
 )
 # Fixture pattern -> its commands, the method of its own report, and the
 # notions `verify` checks that report under.

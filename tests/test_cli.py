@@ -6,6 +6,7 @@ import json
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -13,17 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivcurv import (
+    WalkMode,
     ee_measure,
     en_measure,
     fixtures,
     fraction_str,
+    hyper_neighborhood_graph,
     neighbor_measure,
+    neighborhood_graph,
     parse_graph,
     parse_hypergraph,
 )
 from equivcurv.cli import json_text, main
 
-from support import networkx_w1, random_connected_graph
+from support import networkx_w1, random_connected_graph, random_hypergraph
 
 
 @pytest.fixture
@@ -433,26 +437,145 @@ class TestNoTraceback:
 
 
 class TestClosedPipe:
-    def test_reader_gone_exits_1_quietly(self, monkeypatch, capsys, c6):
-        """As with `equivcurv neigh ... | head`: exit 1, no traceback."""
+    @staticmethod
+    def _neigh_into(monkeypatch, capsys, stdout, args):
+        """Run `neigh` into `stdout`, given the write end of a pipe as its fileno."""
         read_end, write_end = os.pipe()
-
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
-
-            def fileno(self):
-                return write_end
-
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        stdout.fileno = lambda: write_end
+        monkeypatch.setattr(sys, "stdout", stdout)
         try:
             with pytest.raises(SystemExit) as exited:
-                main(["neigh", c6, "--n", "3"])
+                main(["neigh", *args])
         finally:
             os.close(read_end)
             os.close(write_end)
         assert exited.value.code == 1
         assert capsys.readouterr().err == ""
+
+    def test_reader_gone_exits_1_quietly(self, monkeypatch, capsys, c6):
+        """As with `equivcurv neigh ... | head`: exit 1, no traceback."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        self._neigh_into(monkeypatch, capsys, ClosedPipe(), [c6, "--n", "3"])
+
+    def test_reader_gone_after_the_first_row(self, monkeypatch, capsys, c6):
+        """The reader leaves once G_2's first row is written: still exit 1, quietly."""
+
+        class ClosesAfterOneWrite(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+                return super().write(text)
+
+        stdout = ClosesAfterOneWrite()
+        self._neigh_into(monkeypatch, capsys, stdout, [c6, "--n", "2"])
+        assert stdout.getvalue() == "1 3\n1 5\n"
+
+
+def _neigh_reference(structure, n, mode="path"):
+    """`neigh` stdout built from the sorted edge pairs and the component blocks."""
+    if mode == "hyper":
+        g = hyper_neighborhood_graph(structure, n).graph
+    else:
+        g = neighborhood_graph(structure, n, WalkMode(mode)).graph
+    ids = g.vertices
+    edges = [f"{ids[i]} {ids[j]}\n" for i, j in sorted(g.edge_pairs())]
+    blocks = [f"block {' '.join(block)}\n" for block in g.connected_components().blocks]
+    return "".join(edges + blocks)
+
+
+class TestNeighOutputForm:
+    """`neigh` writes one `u v` line per Gₙ (Hₙ) edge, from its lower dense index,
+    rows in dense-index order, then the `block` lines."""
+
+    @staticmethod
+    def _check(runner, tmp_path, text, hyper, ns, modes):
+        path = tmp_path / "input"
+        path.write_text(text)
+        structure = (parse_hypergraph if hyper else parse_graph)(text)
+        for n in ns:
+            for mode in modes:
+                args = ["neigh", str(path), "--n", str(n)]
+                args += ["--hyper"] if hyper else ["--mode", mode]
+                result = runner.invoke(main, args)
+                assert result.exit_code == 0, result.output
+                assert result.stdout == _neigh_reference(structure, n, mode), args
+
+    def test_random_graphs(self, runner, tmp_path):
+        rng = random.Random(27)
+        for _ in range(25):
+            g = random_connected_graph(rng, max_vertices=9)
+            text = "".join(f"{u} {v}\n" for u, v in g.edge_ids())
+            self._check(runner, tmp_path, text, False, range(1, 5), ("path", "nb", "walk"))
+
+    def test_random_hypergraphs(self, runner, tmp_path):
+        rng = random.Random(27)
+        for _ in range(25):
+            h = random_hypergraph(rng, max_vertices=7)
+            text = "".join(" ".join(e) + "\n" for e in h.hyperedges)
+            self._check(runner, tmp_path, text, True, range(1, 4), ("hyper",))
+
+    @pytest.mark.parametrize("name", sorted(fixtures.GRAPHS))
+    def test_graph_fixtures(self, runner, tmp_path, name):
+        text = fixtures.GRAPHS[name]
+        self._check(runner, tmp_path, text, False, range(1, 5), ("path", "nb", "walk"))
+
+    @pytest.mark.parametrize("name", sorted(fixtures.HYPERGRAPHS))
+    def test_hypergraph_fixtures(self, runner, tmp_path, name):
+        self._check(runner, tmp_path, fixtures.HYPERGRAPHS[name], True, range(1, 4), ("hyper",))
+
+
+class TestNeighMemory:
+    def test_output_adds_less_than_its_length(self, tmp_path, monkeypatch):
+        """Writing G_3 row by row holds no more than one row of text at a time.
+
+        Measured with tracemalloc from the same start: the command (parse, build
+        and output) peaks less than its output's length above the build alone.
+        """
+        rng = random.Random(800)
+        n = 200
+        edges = {(i, (i + 1) % n) for i in range(n)}  # the cycle, then chords
+        while len(edges) < 800:
+            a, b = sorted(rng.sample(range(n), 2))
+            if (b, a) not in edges and (a, b) != (0, n - 1):
+                edges.add((a, b))
+        text = "".join(f"v{a} v{b}\n" for a, b in sorted(edges))
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        g = parse_graph(text)
+
+        class Sink:
+            """Counts what is written and keeps nothing."""
+
+            length = 0
+
+            def write(self, s):
+                self.length += len(s)
+                return len(s)
+
+            def flush(self):
+                pass
+
+        def peak_above_start(run):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - start
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            build = peak_above_start(lambda: neighborhood_graph(g, 3))
+            monkeypatch.setattr(sys, "stdout", sink)
+            command = peak_above_start(lambda: main(["neigh", str(path), "--n", "3"]))
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert sink.length == len(_neigh_reference(g, 3))
+        assert command - build < sink.length, (command, build, sink.length)
 
 
 class TestDeepPaths:

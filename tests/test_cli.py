@@ -491,15 +491,18 @@ class TestNeighOutputForm:
     """`neigh` writes one `u v` line per Gₙ (Hₙ) edge, from its lower dense index,
     rows in dense-index order, then the `block` lines."""
 
+    GRAPH_MODES = ("path", "nb", "walk")
+
     @staticmethod
-    def _check(runner, tmp_path, text, hyper, ns, modes):
+    def _check(runner, tmp_path, text, ns, modes):
+        """Compare stdout with the reference for each n and mode ("hyper": Hₙ)."""
         path = tmp_path / "input"
         path.write_text(text)
-        structure = (parse_hypergraph if hyper else parse_graph)(text)
+        structure = (parse_hypergraph if modes == ("hyper",) else parse_graph)(text)
         for n in ns:
             for mode in modes:
                 args = ["neigh", str(path), "--n", str(n)]
-                args += ["--hyper"] if hyper else ["--mode", mode]
+                args += ["--hyper"] if mode == "hyper" else ["--mode", mode]
                 result = runner.invoke(main, args)
                 assert result.exit_code == 0, result.output
                 assert result.stdout == _neigh_reference(structure, n, mode), args
@@ -509,23 +512,22 @@ class TestNeighOutputForm:
         for _ in range(25):
             g = random_connected_graph(rng, max_vertices=9)
             text = "".join(f"{u} {v}\n" for u, v in g.edge_ids())
-            self._check(runner, tmp_path, text, False, range(1, 5), ("path", "nb", "walk"))
+            self._check(runner, tmp_path, text, range(1, 5), self.GRAPH_MODES)
 
     def test_random_hypergraphs(self, runner, tmp_path):
         rng = random.Random(27)
         for _ in range(25):
             h = random_hypergraph(rng, max_vertices=7)
             text = "".join(" ".join(e) + "\n" for e in h.hyperedges)
-            self._check(runner, tmp_path, text, True, range(1, 4), ("hyper",))
+            self._check(runner, tmp_path, text, range(1, 4), ("hyper",))
 
     @pytest.mark.parametrize("name", sorted(fixtures.GRAPHS))
     def test_graph_fixtures(self, runner, tmp_path, name):
-        text = fixtures.GRAPHS[name]
-        self._check(runner, tmp_path, text, False, range(1, 5), ("path", "nb", "walk"))
+        self._check(runner, tmp_path, fixtures.GRAPHS[name], range(1, 5), self.GRAPH_MODES)
 
     @pytest.mark.parametrize("name", sorted(fixtures.HYPERGRAPHS))
     def test_hypergraph_fixtures(self, runner, tmp_path, name):
-        self._check(runner, tmp_path, fixtures.HYPERGRAPHS[name], True, range(1, 4), ("hyper",))
+        self._check(runner, tmp_path, fixtures.HYPERGRAPHS[name], range(1, 4), ("hyper",))
 
 
 class TestNeighMemory:
@@ -537,11 +539,9 @@ class TestNeighMemory:
         """
         rng = random.Random(800)
         n = 200
-        edges = {(i, (i + 1) % n) for i in range(n)}  # the cycle, then chords
+        edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}  # cycle, then chords
         while len(edges) < 800:
-            a, b = sorted(rng.sample(range(n), 2))
-            if (b, a) not in edges and (a, b) != (0, n - 1):
-                edges.add((a, b))
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
         text = "".join(f"v{a} v{b}\n" for a, b in sorted(edges))
         path = tmp_path / "g.edges"
         path.write_text(text)
@@ -573,7 +573,6 @@ class TestNeighMemory:
             command = peak_above_start(lambda: main(["neigh", str(path), "--n", "3"]))
         finally:
             tracemalloc.stop()
-            monkeypatch.undo()
         assert sink.length == len(_neigh_reference(g, 3))
         assert command - build < sink.length, (command, build, sink.length)
 

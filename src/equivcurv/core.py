@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import repeat
 
 from .errors import ParseError, PreconditionError, ResourceCapError, UnknownVertexError
 
@@ -239,7 +238,7 @@ class Graph(_Indexed):
 
         `adj[i]` lists the dense indices joined to i, ascending and each once,
         symmetric, with i itself for a loop; the graph takes the lists over.
-        No id is looked up, and the edge tables are built on first read.
+        No id is looked up; every edge view is read off these lists.
         """
         g = cls.__new__(cls)
         g.vertices, g.index, g._adj = vertices, index, adj
@@ -254,7 +253,7 @@ class Graph(_Indexed):
         """
         return cls._from_lists(base.vertices, base.index, _link(nbrs))
 
-    # -- edges, read off the adjacency on first use ----------------------
+    # -- edges, read off the adjacency lists, the only edge table ----------
 
     def upper_rows(self):
         """Per vertex i in dense order, (i, row): the ascending indices j >= i joined
@@ -263,41 +262,30 @@ class Graph(_Indexed):
             yield i, row[bisect_left(row, i):]
 
     @cached_property
-    def _pairs(self):
-        """Edges as (i, j), i <= j, in sorted order (see `upper_rows`)."""
-        pairs = []
-        for i, upper in self.upper_rows():
-            pairs += zip(repeat(i), upper)
-        return tuple(pairs)
-
-    @cached_property
-    def _edges(self):
-        return frozenset(self._pairs)
-
-    @cached_property
     def _has_loops(self):
         return any(i in row for i, row in enumerate(self._adj))
 
     def edge_pairs(self):
         """Edges as sorted (i, j) dense-index pairs; loops as (i, i)."""
-        return list(self._pairs)
+        return [(i, j) for i, upper in self.upper_rows() for j in upper]
 
     def edge_ids(self):
         """Edges as sorted pairs of vertex ids (loops as (v, v))."""
-        return [(self.vertices[i], self.vertices[j]) for i, j in self._pairs]
+        return [(self.vertices[i], self.vertices[j]) for i, j in self.edge_pairs()]
 
     def has_loops(self):
         return self._has_loops
 
     def n_edges(self):
-        return len(self._pairs)
+        return sum(len(upper) for _, upper in self.upper_rows())
 
     def without_edges(self, removed):
-        """New graph on the same vertex set with the given edges deleted."""
+        """New graph on the same vertex set with the given edges deleted; a pair
+        named twice, or in both orientations, deletes its edge once."""
         nbrs = [set(a) for a in self._adj]
         for u, v in removed:
             i, j = self._idx(u), self._idx(v)
-            if (min(i, j), max(i, j)) not in self._edges:
+            if j not in self._adj[i]:
                 raise PreconditionError(f"edge ({u!r}, {v!r}) not present in graph")
             nbrs[i].discard(j)
             nbrs[j].discard(i)
@@ -348,7 +336,7 @@ class Graph(_Indexed):
     def path_steps(self):
         """Per vertex, every (edge id, other endpoint) step, for `simple_paths`."""
         steps = [[] for _ in self.vertices]
-        for e, (i, j) in enumerate(self._pairs):
+        for e, (i, j) in enumerate(self.edge_pairs()):
             steps[i].append((e, j))
             steps[j].append((e, i))
         return steps

@@ -250,7 +250,7 @@ def inclusion_check(
     Each build spends at most `work_budget` units of its own.
     """
     path, nb, walk = (  # all on g's dense index, in WalkMode's chain order
-        neighborhood_graph(g, n, mode, work_budget=work_budget).graph._edges
+        set(neighborhood_graph(g, n, mode, work_budget=work_budget).graph.edge_pairs())
         for mode in WalkMode
     )
     counterexample = None

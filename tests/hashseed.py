@@ -8,9 +8,9 @@ from the repository root under two string-hash seeds and compare:
     PYTHONHASHSEED=1 python tests/hashseed.py > hashseed-1.out
     diff hashseed-0.out hashseed-1.out
 
-Graph edge tables (a frozenset among them) are built on first use; every
-command's output is built from the result records; `neigh` writes Gₙ one
-vertex row at a time. Path mode with n = 4 runs the DFS, n = 1, 2 and 3 the
+A graph reads every edge view off its adjacency lists; every command's
+output is built from the result records; `neigh` writes Gₙ one vertex row at
+a time. Path mode with n = 4 runs the DFS, n = 1, 2 and 3 the
 meet-in-the-middle routine (the steps themselves, a middle vertex, a middle
 edge), and n = 9 the answer for n >= |V| (every fixture has at most 9
 vertices); n = 3 also runs in the nb and walk modes and with
@@ -19,6 +19,10 @@ with n = 1, 2, 3 and 4. kcycle-removal with k = 4 runs the cycle DFS,
 and k = 10 the answer for k > |V|. Each fixture's own g2 report (h2 for a
 hypergraph) is then checked by `verify`, which reads the report's blocks,
 under every notion of its kind: 2 for graphs, 4 for hypergraphs.
+
+Last come the couplings, which no command prints: for each fixture, every
+pair's coupling entries in their order, from `orc` on a graph and `ee_orc` on
+a hypergraph. A refused pair prints its message instead.
 """
 
 import contextlib
@@ -27,6 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from equivcurv import PreconditionError, ee_orc, orc, parse_graph, parse_hypergraph
 from equivcurv.cli import main as cli_main
 
 GRAPH_COMMANDS = (
@@ -53,6 +58,9 @@ KINDS = {
     )),
 }
 
+# Fixture pattern -> its parser and the curvature whose couplings are listed.
+COUPLINGS = {"*.edges": (parse_graph, orc), "*.hyper": (parse_hypergraph, ee_orc)}
+
 
 def run(argv):
     """(stdout, stderr, exit code) of one command line, run in process."""
@@ -72,6 +80,21 @@ def show(argv, line):
     sys.stdout.write(f"== {line}\n{out}-- stderr\n{err}-- exit {code}\n")
 
 
+def show_couplings(path, parse, curvature):
+    """Print the coupling entries of every pair of `path`'s vertices, or the
+    pair's refusal."""
+    print("== couplings", path, curvature.__name__)
+    structure = parse(path.read_text())
+    vertices = structure.vertices
+    for i, x in enumerate(vertices):
+        for y in vertices[i + 1:]:
+            try:
+                entries = curvature(structure, x, y).coupling.entries
+                print(x, y, list(entries.items()))
+            except PreconditionError as error:
+                print(x, y, "refused:", error)
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp, "report.json")
@@ -85,6 +108,9 @@ def main():
                 for notion in notions:
                     argv = ["verify", str(path), str(report), "--notion", notion]
                     show(argv, f"verify {path} <{method} report> --notion {notion}")
+    for pattern, (parse, curvature) in COUPLINGS.items():
+        for path in sorted(Path("fixtures").glob(pattern)):
+            show_couplings(path, parse, curvature)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Graph/hypergraph construction, parsing, and basic combinatorics."""
 
 import random
+import re
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -97,6 +99,40 @@ class TestGraphBasics:
         assert "2" not in pruned.neighbors("1")
         with pytest.raises(PreconditionError):
             g.without_edges([("1", "3")])
+
+    @pytest.mark.parametrize("removed", [
+        [("1", "2"), ("1", "2")], [("1", "2"), ("2", "1")], [("2", "1"), ("1", "2")],
+    ])
+    def test_without_edges_removes_a_repeated_pair_once(self, removed):
+        pruned = fixtures.graph("c6").without_edges(removed)
+        assert pruned.edge_ids() == [
+            ("1", "6"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"),
+        ]
+
+    @pytest.mark.parametrize("pair", [("1", "3"), ("3", "1"), ("1", "1")])
+    def test_without_edges_refuses_a_non_edge(self, pair):
+        g = fixtures.graph("c6")
+        message = f"edge ({pair[0]!r}, {pair[1]!r}) not present in graph"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            g.without_edges([("1", "2"), pair])
+
+    def test_counting_edges_builds_no_edge_table(self):
+        rng = random.Random(3)
+        n = 250
+        names = [f"v{i}" for i in range(n)]
+        edges = {frozenset((names[i], names[(i + 1) % n])) for i in range(n)}
+        while len(edges) < 1000:
+            edges.add(frozenset(rng.sample(names, 2)))
+        g3 = neighborhood_graph(Graph(names, map(tuple, edges)), 3).graph
+        m = sum(j >= i for i, row in enumerate(g3.adjacency()) for j in row)
+        assert m > 20_000
+        tracemalloc.start()
+        try:
+            assert g3.n_edges() == m
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m  # under one byte per edge
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -373,7 +409,7 @@ class TestDerivedGraphs:
     @staticmethod
     def same_graph(derived, expected):
         assert derived.vertices == expected.vertices
-        assert derived._edges == expected._edges
+        assert derived.edge_pairs() == expected.edge_pairs()
         assert derived._adj == expected._adj
         assert derived.has_loops() == expected.has_loops()
 
@@ -423,9 +459,9 @@ EDGE_QUERIES = {
 
 
 class TestLazyEdgeTables:
-    """A graph keeps only its adjacency lists and builds its edge tables on
-    first read. Every edge query must answer the same as the first read of a
-    fresh graph, after `adjacency()`, and after every other query."""
+    """A graph keeps only its adjacency lists and reads every edge view off
+    them when asked. Every edge query must answer the same as the first read
+    of a fresh graph, after `adjacency()`, and after every other query."""
 
     @staticmethod
     def check(make, rng):

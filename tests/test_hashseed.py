@@ -21,11 +21,16 @@ def _table(seed):
     return done.stdout
 
 
+def _fixtures(pattern):
+    return len(list((ROOT / "fixtures").glob(pattern)))
+
+
 def test_table_output_does_not_depend_on_the_hash_seed():
     zero, one = _table("0"), _table("1")
     expected = sum(
-        len(list((ROOT / "fixtures").glob(pattern))) * (len(commands) + len(notions))
+        _fixtures(pattern) * (len(commands) + len(notions))
         for pattern, (commands, _, notions) in hashseed.KINDS.items()
     )
     assert zero.count("\n-- exit ") == expected
+    assert zero.count("\n== couplings ") == sum(map(_fixtures, hashseed.COUPLINGS))
     assert zero.splitlines() == one.splitlines()
